@@ -28,10 +28,8 @@ from .model import (
     EndpointRecord,
     PathRecord,
     TreeNode,
-    endpoint_threat_score,
     is_chronologically_feasible,
     normalize_color,
-    path_threat_score,
     threat_score,
 )
 from .query import (
@@ -70,7 +68,6 @@ __all__ = [
     "build_backward_tree",
     "build_forward_tree",
     "color_hex",
-    "endpoint_threat_score",
     "format_score",
     "ingest_stream",
     "insert_alert",
@@ -79,7 +76,6 @@ __all__ = [
     "parse_csv_line",
     "parse_eve_line",
     "parse_timestamp",
-    "path_threat_score",
     "paths_to_table",
     "recompute_threat_scores",
     "reinsert_alert",

@@ -12,7 +12,7 @@ suffix paths and re-checks feasibility explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal
+from typing import Callable, Iterable
 
 from .errors import OutOfOrderError, StoreError
 from .model import (
@@ -60,19 +60,15 @@ def insert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
         for candidate in store.find_paths_ending_at(source):
             if dest in candidate.vertices:  # would repeat a vertex
                 continue
-            if dest in candidate.children:  # lengthened copy already stored
+            vertices = candidate.vertices + (dest,)
+            if store.has_path(vertices):  # lengthened copy already stored
                 continue
-            store.insert_path(PathRecord(candidate.vertices + (dest,)))
-            candidate.children.add(dest)
+            store.insert_path(PathRecord(vertices))
             paths_created += 1
     return InsertOutcome(int(created), paths_created)
 
 
-def reinsert_alert(
-    store: AlertStore,
-    alert: Alert,
-    mode: Literal["complete", "pairwise"] = "complete",
-) -> InsertOutcome:
+def reinsert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
     """Fold a late alert into the store, preserving path completeness.
 
     Every path that is newly feasible because of this alert contains its
@@ -80,10 +76,6 @@ def reinsert_alert(
     where the prefix ends at the source, the suffix starts at the
     destination, both were already stored (or are empty), and the two are
     vertex-disjoint. The splice loop walks exactly those combinations.
-
-    ``mode="pairwise"`` keeps only the two-sided combinations and skips the
-    parent-children bookkeeping; it exists for comparison and leaves the
-    store's children sets inconsistent with its paths.
     """
     source, dest = alert.source, alert.destination
     prefixes = [
@@ -96,9 +88,9 @@ def reinsert_alert(
     if source == dest:
         return InsertOutcome(int(created), 0)
 
-    sorted_keys: dict[EndpointPair, list[OrderKey]] = {}
+    sorted_keys: dict[tuple[str, str], list[OrderKey]] = {}
 
-    def keys_for(pair: EndpointPair) -> list[OrderKey]:
+    def keys_for(pair: tuple[str, str]) -> list[OrderKey]:
         cached = sorted_keys.get(pair)
         if cached is None:
             found = store.endpoint(pair)
@@ -111,12 +103,8 @@ def reinsert_alert(
     candidates: list[tuple[str, ...]] = []
     if not store.has_path((source, dest)):
         candidates.append((source, dest))
-    if mode == "complete":
-        pre_options: list[PathRecord | None] = [*prefixes, None]
-        post_options: list[PathRecord | None] = [*suffixes, None]
-    else:
-        pre_options = list(prefixes)
-        post_options = list(suffixes)
+    pre_options: list[PathRecord | None] = [*prefixes, None]
+    post_options: list[PathRecord | None] = [*suffixes, None]
     for pre in pre_options:
         for post in post_options:
             if pre is None and post is None:
@@ -131,29 +119,16 @@ def reinsert_alert(
             right = post.vertices if post is not None else (dest,)
             candidates.append(left + right)
 
-    new_paths: list[PathRecord] = []
+    paths_created = 0
     for vertices in candidates:
         if store.has_path(vertices):
             continue
-        key_sets = [keys_for(pair) for pair in _pairwise(vertices)]
+        key_sets = [keys_for(pair) for pair in zip(vertices, vertices[1:])]
         if not is_chronologically_feasible(key_sets, presorted=True):
             continue
-        path = PathRecord(vertices)
-        store.insert_path(path)
-        new_paths.append(path)
-
-    if mode == "complete":
-        for path in new_paths:
-            if len(path.vertices) == 2:
-                continue
-            parent = store.get_path(path.vertices[:-1])
-            if parent is None:
-                raise StoreError(
-                    f"store lost the parent of {path.vertices}; "
-                    "prefix closure violated"
-                )
-            parent.children.add(path.vertices[-1])
-    return InsertOutcome(int(created), len(new_paths))
+        store.insert_path(PathRecord(vertices))
+        paths_created += 1
+    return InsertOutcome(int(created), paths_created)
 
 
 def recompute_threat_scores(
@@ -192,8 +167,3 @@ def recompute_threat_scores(
             paths_updated += 1
     store.mark_scores_fresh()
     return endpoints_updated, paths_updated
-
-
-def _pairwise(vertices: tuple[str, ...]) -> Iterable[EndpointPair]:
-    for i in range(len(vertices) - 1):
-        yield EndpointPair(vertices[i], vertices[i + 1])

@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Literal, Mapping, NamedTuple, Sequence
-
-from .errors import StoreError
+from typing import Any, Iterable, Literal, NamedTuple, Sequence
 
 # An alert's position in the stream: (epoch microseconds, ingestion ordinal).
 # The ordinal is unique per store, so these keys form a strict total order.
@@ -68,13 +66,10 @@ class EndpointRecord:
 class PathRecord:
     """An acyclic, chronologically feasible walk through the alert graph.
 
-    ``children`` holds the last vertices of stored one-step extensions; the
-    insertion algorithms use it to avoid recreating a path that already
-    exists. ``pts`` is a cached score, same staleness caveat as ``ets``.
+    ``pts`` is a cached score, same staleness caveat as ``ets``.
     """
 
     vertices: tuple[str, ...]
-    children: set[str] = field(default_factory=set)
     pts: float = 0.0
 
     def __post_init__(self) -> None:
@@ -149,33 +144,6 @@ def threat_score(alerts: Iterable[Alert]) -> float:
     if total == 0:
         return 0.0
     return math.sqrt(len(sids) * total)
-
-
-def endpoint_threat_score(record: EndpointRecord) -> float:
-    """Threat score of everything observed on one endpoint pair."""
-    return threat_score(record.alerts)
-
-
-def path_threat_score(
-    path: PathRecord, arcs: Mapping[EndpointPair, Sequence[Alert]]
-) -> float:
-    """Threat score of the union of a path's per-pair alert sets.
-
-    Diversity is counted once across the whole union, volume is the total
-    over all pairs. ``arcs`` must supply a collection for every consecutive
-    pair of the path; a missing pair means the store lost an endpoint record
-    a stored path still depends on.
-    """
-    union: list[Alert] = []
-    for pair in path.pairs:
-        try:
-            union.extend(arcs[pair])
-        except KeyError:
-            raise StoreError(
-                f"path {path.vertices} references pair {pair} "
-                "with no endpoint annotations"
-            ) from None
-    return threat_score(union)
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,17 @@ from __future__ import annotations
 import json
 import os
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 from .errors import StoreError
-from .model import Alert, EndpointPair, EndpointRecord, OrderKey, PathRecord
+from .model import Alert, EndpointPair, EndpointRecord, PathRecord
 
 SNAPSHOT_FORMAT = "alert-path-store"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+# Version 1 path lines also carried a "children" list, which load ignores.
+READABLE_VERSIONS = (1, 2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,7 +61,6 @@ class AlertStore:
         self._by_origin: dict[str, list[PathRecord]] = defaultdict(list)
         self._by_target: dict[str, list[PathRecord]] = defaultdict(list)
         self._by_extremes: dict[tuple[str, str], list[PathRecord]] = defaultdict(list)
-        self._by_member: dict[str, list[PathRecord]] = defaultdict(list)
         self._nodes: set[str] = set()
         self._seqs: set[int] = set()
         self._alert_count = 0
@@ -119,8 +120,8 @@ class AlertStore:
     def insert_path(self, path: PathRecord) -> None:
         """Index a new path. Duplicates and dangling pairs are rejected.
 
-        Callers prevent duplicates via the children sets; the check here is
-        a backstop. Endpoint records must already exist for every pair so
+        Callers prevent duplicates with `has_path`; the check here is a
+        backstop. Endpoint records must already exist for every pair so
         readers never see a path whose annotations are missing.
         """
         if path.vertices in self._paths:
@@ -134,8 +135,6 @@ class AlertStore:
         self._by_origin[path.origin].append(path)
         self._by_target[path.target].append(path)
         self._by_extremes[(path.origin, path.target)].append(path)
-        for vertex in path.vertices:
-            self._by_member[vertex].append(path)
         self.scores_stale = True
         self._ranked_paths = None
 
@@ -167,18 +166,6 @@ class AlertStore:
         found = list(self._by_extremes.get((origin, target), ()))
         self.counters.path_records += len(found)
         return found
-
-    def find_paths_containing(self, vertex: str) -> list[PathRecord]:
-        found = list(self._by_member.get(vertex, ()))
-        self.counters.path_records += len(found)
-        return found
-
-    def path_has_child(self, vertices: tuple[str, ...], vertex: str) -> bool:
-        record = self._paths.get(vertices)
-        if record is None:
-            raise StoreError(f"unknown path {vertices}")
-        self.counters.path_records += 1
-        return vertex in record.children
 
     # ------------------------------------------------------------------
     # ranking
@@ -231,12 +218,6 @@ class AlertStore:
     def latest_time_us(self) -> int | None:
         return self._latest_time_us
 
-    @property
-    def max_order_key(self) -> OrderKey | None:
-        if self._alert_count == 0:
-            return None
-        return (self._latest_time_us or 0, self._max_seq)
-
     def stats(self) -> StoreStats:
         return StoreStats(
             node_count=len(self._nodes),
@@ -286,13 +267,16 @@ class AlertStore:
                 _dump(
                     {
                         "vertices": list(vertices),
-                        "children": sorted(record.children),
                         "pts": record.pts,
                     }
                 )
             )
         tmp = destination.with_name(destination.name + ".tmp")
-        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+            handle.flush()
+            # the rename below must never publish a file whose data is not on disk
+            os.fsync(handle.fileno())
         os.replace(tmp, destination)
 
     def load(self, source: str | Path) -> None:
@@ -308,7 +292,7 @@ class AlertStore:
         header = _load_line(lines[0], 1)
         if header.get("format") != SNAPSHOT_FORMAT:
             raise StoreError(f"not a {SNAPSHOT_FORMAT} snapshot: {source}")
-        if header.get("version") != SNAPSHOT_VERSION:
+        if header.get("version") not in READABLE_VERSIONS:
             raise StoreError(f"unsupported snapshot version {header.get('version')}")
         n_endpoints = int(header["endpoints"])
         n_paths = int(header["paths"])
@@ -351,11 +335,7 @@ class AlertStore:
             line_no = 2 + n_endpoints + offset
             row = _load_line(lines[1 + n_endpoints + offset], line_no)
             try:
-                record = PathRecord(
-                    tuple(row["vertices"]),
-                    children=set(row["children"]),
-                    pts=float(row["pts"]),
-                )
+                record = PathRecord(tuple(row["vertices"]), pts=float(row["pts"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise StoreError(f"snapshot line {line_no}: bad path record ({exc})")
             self.insert_path(record)

@@ -20,8 +20,7 @@ from alertpaths.bench import (
 )
 from alertpaths.ingest import ingest_stream
 from alertpaths.maintenance import insert_alert, recompute_threat_scores
-from alertpaths.model import EndpointPair, EndpointRecord, normalize_color
-from alertpaths.model import endpoint_threat_score
+from alertpaths.model import EndpointPair, EndpointRecord, normalize_color, threat_score
 from alertpaths.query import build_backward_tree, build_forward_tree
 from alertpaths.render import tree_to_dot
 from alertpaths.store import AlertStore
@@ -86,7 +85,7 @@ def test_criterion_3_score_and_color_fixtures():
                 EndpointPair("s", "d"),
                 [mk_alert("s", "d", 1_000 + i, sid=7, seq=i) for i in range(volume)],
             )
-            assert abs(endpoint_threat_score(record) - expected) <= 0.005, volume
+            assert abs(threat_score(record.alerts) - expected) <= 0.005, volume
         assert normalize_color(10.49, 179.10) == 0x0D0000
         assert normalize_color(179.10, 179.10) == 0xFF0000
 

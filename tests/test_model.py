@@ -9,16 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from alertpaths.errors import StoreError
 from alertpaths.model import (
     Alert,
     EndpointPair,
-    EndpointRecord,
     PathRecord,
-    endpoint_threat_score,
     is_chronologically_feasible,
     normalize_color,
-    path_threat_score,
     threat_score,
 )
 
@@ -74,28 +70,6 @@ def test_threat_score_monotone_in_superset(sids, extra):
     smaller = threat_score(alerts_with_sids(sids))
     larger = threat_score(alerts_with_sids(sids + [extra]))
     assert larger >= smaller
-
-
-def test_endpoint_threat_score_reads_record():
-    record = EndpointRecord(EndpointPair("a", "b"), alerts_with_sids([1, 1, 2]))
-    assert endpoint_threat_score(record) == pytest.approx(math.sqrt(2 * 3))
-
-
-def test_path_threat_score_counts_diversity_once_across_pairs():
-    # same signature on both arcs: diversity 1, volume 2
-    path = PathRecord(("a", "b", "c"))
-    arcs = {
-        EndpointPair("a", "b"): [mk_alert("a", "b", 1, sid=9, seq=0)],
-        EndpointPair("b", "c"): [mk_alert("b", "c", 2, sid=9, seq=1)],
-    }
-    assert path_threat_score(path, arcs) == pytest.approx(math.sqrt(2))
-
-
-def test_path_threat_score_missing_pair_is_store_inconsistency():
-    path = PathRecord(("a", "b", "c"))
-    arcs = {EndpointPair("a", "b"): [mk_alert("a", "b", 1, seq=0)]}
-    with pytest.raises(StoreError):
-        path_threat_score(path, arcs)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from alertpaths import store as store_module
 from alertpaths.bench import build_store, generate_chain, generate_random
 from alertpaths.errors import StoreError
 from alertpaths.maintenance import recompute_threat_scores
@@ -79,47 +82,25 @@ def test_find_paths_spec_shapes():
     assert store.find_paths_between("v3", "v1") == []
 
 
-def test_find_paths_containing_interior_vertex():
-    store = build_store(
-        [mk_alert("v1", "v2", 1, seq=0), mk_alert("v2", "v3", 2, seq=1)]
-    )
-    containing = {p.vertices for p in store.find_paths_containing("v2")}
-    assert containing == {("v1", "v2"), ("v2", "v3"), ("v1", "v2", "v3")}
-
-
 def test_index_consistency_on_random_instance():
     store = seeded_store()
     for path in store.paths():
         assert path in store.find_paths_starting_at(path.origin)
         assert path in store.find_paths_ending_at(path.target)
         assert path in store.find_paths_between(path.origin, path.target)
-        for vertex in path.vertices:
-            assert path in store.find_paths_containing(vertex)
         for pair in path.pairs:
             assert store.endpoint(pair) is not None
 
 
 def test_child_symmetry_on_random_instance():
+    # A path's children are its stored one-step extensions. Inserters find
+    # them with has_path, which is exact only if the stored set is closed
+    # under dropping the last (and, for splices, the first) vertex.
     store = seeded_store()
     for path in store.paths():
-        for child in path.children:
-            assert store.has_path(path.vertices + (child,))
-        # and the reverse: every stored extension is registered as a child
-    for path in store.paths():
         if len(path.vertices) > 2:
-            parent = store.get_path(path.vertices[:-1])
-            assert parent is not None
-            assert path.vertices[-1] in parent.children
-
-
-def test_path_has_child():
-    store = build_store(
-        [mk_alert("v1", "v2", 1, seq=0), mk_alert("v2", "v3", 2, seq=1)]
-    )
-    assert store.path_has_child(("v1", "v2"), "v3") is True
-    assert store.path_has_child(("v1", "v2"), "v9") is False
-    with pytest.raises(StoreError):
-        store.path_has_child(("v9", "v8"), "v1")
+            assert store.has_path(path.vertices[:-1])
+            assert store.has_path(path.vertices[1:])
 
 
 def test_lookup_touches_only_matching_records():
@@ -221,7 +202,6 @@ def test_snapshot_load_round_trip(tmp_path):
     for path in store.paths():
         twin = restored.get_path(path.vertices)
         assert twin is not None
-        assert twin.children == path.children
         assert twin.pts == path.pts
 
     second = tmp_path / "second.jsonl"
@@ -259,3 +239,57 @@ def test_load_rejects_truncated_snapshot(tmp_path):
     path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
     with pytest.raises(StoreError):
         AlertStore().load(path)
+
+
+# Version 1 path lines carried the one-step extensions as "children".
+V1_SNAPSHOT = (
+    '{"endpoints":2,"format":"alert-path-store","paths":3,"scores_stale":true,"version":1}\n'
+    '{"alerts":[[1,1,0]],"dst":"v2","ets":0.0,"src":"v1"}\n'
+    '{"alerts":[[2,1,1]],"dst":"v3","ets":0.0,"src":"v2"}\n'
+    '{"children":["v3"],"pts":0.0,"vertices":["v1","v2"]}\n'
+    '{"children":[],"pts":0.0,"vertices":["v1","v2","v3"]}\n'
+    '{"children":[],"pts":0.0,"vertices":["v2","v3"]}\n'
+)
+
+
+def test_version_1_snapshot_loads_and_resaves_as_version_2(tmp_path):
+    old = tmp_path / "v1.jsonl"
+    old.write_text(V1_SNAPSHOT, encoding="utf-8")
+    restored = AlertStore()
+    restored.load(old)
+    resaved = tmp_path / "resaved.jsonl"
+    restored.snapshot(resaved)
+
+    expected = tmp_path / "expected.jsonl"
+    build_store(
+        [mk_alert("v1", "v2", 1, seq=0), mk_alert("v2", "v3", 2, seq=1)]
+    ).snapshot(expected)
+    assert resaved.read_bytes() == expected.read_bytes()
+    header = resaved.read_text(encoding="utf-8").splitlines()[0]
+    assert '"version":2' in header
+    assert b"children" not in resaved.read_bytes()
+
+
+def test_snapshot_syncs_temp_file_before_replacing(tmp_path, monkeypatch):
+    real_fsync, real_replace = os.fsync, os.replace
+    events = []
+
+    def fsync(fd):
+        info = os.fstat(fd)
+        events.append(("fsync", info.st_ino, info.st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        info = os.stat(src)
+        events.append(("replace", info.st_ino, info.st_size))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(store_module.os, "fsync", fsync)
+    monkeypatch.setattr(store_module.os, "replace", replace)
+    target = tmp_path / "snap.jsonl"
+    seeded_store().snapshot(target)
+
+    size = target.stat().st_size
+    inode = target.stat().st_ino
+    # the whole temp file reaches the disk before it takes the target's name
+    assert events == [("fsync", inode, size), ("replace", inode, size)]
