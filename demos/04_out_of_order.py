@@ -11,10 +11,13 @@ produced.
 
 from __future__ import annotations
 
-import tempfile
-from pathlib import Path
-
-from alertpaths import Alert, AlertStore, insert_alert, reinsert_alert
+from alertpaths import (
+    Alert,
+    AlertStore,
+    insert_alert,
+    recompute_threat_scores,
+    reinsert_alert,
+)
 
 feed = [
     Alert("ws-7", "jump-1", 1_000_000, sid=2010935, seq=0),
@@ -37,17 +40,20 @@ created = reinsert_alert(late, feed[1])
 print("reinsertion created", created.paths_created, "paths")
 print("after reinsertion: ", late.stats().path_count, "paths")
 
-assert {p.vertices for p in late.paths()} == {
-    p.vertices for p in chronological.paths()
-}
+# Same paths, and once scored, the same scores, so downstream consumers
+# cannot tell the feeds apart.
+recompute_threat_scores(chronological)
+recompute_threat_scores(late)
 
-# Byte-for-byte the same snapshot, so downstream consumers cannot tell
-# the feeds apart.
-with tempfile.TemporaryDirectory() as tmp:
-    a, b = Path(tmp, "a.jsonl"), Path(tmp, "b.jsonl")
-    chronological.snapshot(a)
-    late.snapshot(b)
-    assert a.read_bytes() == b.read_bytes()
-    print("snapshots are byte-identical")
+
+def scored(store):
+    return (
+        sorted((r.pair, r.ets) for r in store.endpoints()),
+        sorted((p.vertices, p.pts) for p in store.paths()),
+    )
+
+
+assert scored(late) == scored(chronological)
+print("paths and scores are identical")
 
 print("\nok")

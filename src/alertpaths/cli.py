@@ -19,7 +19,6 @@ from pathlib import Path
 from . import bench
 from .errors import ParseError, StoreError
 from .ingest import ingest_stream, reinsert_stream
-from .maintenance import recompute_threat_scores
 from .query import build_backward_tree, build_forward_tree, retrieve_paths, top_trees
 from .render import color_hex, format_score, paths_to_table, tree_to_dot, tree_to_structured
 from .store import AlertStore
@@ -87,8 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--input", required=True, help="feed file to read")
     cmd.add_argument("--format", choices=("eve", "csv"), default="eve")
     cmd.add_argument("--strict", action="store_true", help="fail on the first bad line")
-
-    add("score", "recompute every cached threat score", _cmd_score)
 
     cmd = add("paths", "paths between two endpoints, best first", _cmd_paths)
     cmd.add_argument("--origin", required=True)
@@ -163,14 +160,6 @@ def _save_store(store: AlertStore, directory: Path) -> None:
     store.snapshot(directory / STORE_FILENAME)
 
 
-def _warn_if_stale(store: AlertStore) -> None:
-    if store.scores_stale:
-        print(
-            "warning: cached threat scores are stale; run `alertpaths score`",
-            file=sys.stderr,
-        )
-
-
 # ---------------------------------------------------------------------------
 # handlers
 # ---------------------------------------------------------------------------
@@ -211,26 +200,10 @@ def _cmd_reinsert(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_score(args: argparse.Namespace) -> int:
-    directory = _store_dir(args)
-    with _locked(directory, exclusive=True):
-        store = _open_store(directory, must_exist=True)
-        endpoints_updated, paths_updated = recompute_threat_scores(store)
-        _save_store(store, directory)
-    print(
-        json.dumps(
-            {"endpoints_updated": endpoints_updated, "paths_updated": paths_updated},
-            sort_keys=True,
-        )
-    )
-    return EXIT_OK
-
-
 def _cmd_paths(args: argparse.Namespace) -> int:
     directory = _store_dir(args)
     with _locked(directory, exclusive=False):
         store = _open_store(directory, must_exist=True)
-    _warn_if_stale(store)
     found = retrieve_paths(store, args.origin, args.target)
     if args.top is not None:
         if args.top < 0:
@@ -262,7 +235,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
     directory = _store_dir(args)
     with _locked(directory, exclusive=False):
         store = _open_store(directory, must_exist=True)
-    _warn_if_stale(store)
     if args.what == "endpoints":
         records, _ = store.top_endpoints_by_ets(args.k)
         for record in records:
@@ -296,7 +268,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 "endpoints": stats.endpoint_count,
                 "alerts": stats.alert_count,
                 "paths": stats.path_count,
-                "scores_stale": store.scores_stale,
             },
             sort_keys=True,
         )

@@ -11,18 +11,11 @@ suffix paths and re-checks feasibility explicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
 from .errors import OutOfOrderError, StoreError
-from .model import (
-    Alert,
-    EndpointPair,
-    OrderKey,
-    PathRecord,
-    is_chronologically_feasible,
-    threat_score,
-)
+from .model import Alert, OrderKey, PathRecord, is_chronologically_feasible
 from .store import AlertStore
 
 
@@ -37,15 +30,13 @@ class InsertOutcome:
 def insert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
     """Fold the next alert of a chronological stream into the store.
 
-    The alert must be the stream head: time no older than anything stored
-    and seq strictly above the stored maximum. Anything else belongs to
-    `reinsert_alert`. Self-loops annotate their endpoint record but never
-    create or extend paths.
+    The alert must be the new stream head: its (time, seq) key must lie
+    beyond every stored key. Anything else belongs to `reinsert_alert`.
+    Self-loops annotate their endpoint record but never create or extend
+    paths.
     """
-    latest = store.latest_time_us
-    if latest is not None and (
-        alert.time_us < latest or alert.seq <= store.next_seq - 1
-    ):
+    head = store.head
+    if head is not None and alert.key <= head:
         raise OutOfOrderError(
             f"alert (time={alert.time_us}, seq={alert.seq}) is behind the "
             "stream head; use reinsert_alert"
@@ -131,37 +122,45 @@ def reinsert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
     return InsertOutcome(int(created), paths_created)
 
 
-def recompute_threat_scores(
-    store: AlertStore,
-    scorer: Callable[[Iterable[Alert]], float] = threat_score,
-) -> tuple[int, int]:
+def recompute_threat_scores(store: AlertStore) -> tuple[int, int]:
     """Refresh every cached ETS and PTS; returns counts of changed records.
 
-    Endpoint annotations are read once each and kept in a local cache for
-    the path pass. Scoring is pluggable through ``scorer``, which receives
-    the full alert collection being scored (a pair's alerts, or the union
-    over a path's pairs).
+    A score is sqrt(distinct sids x alerts), as `threat_score` computes it.
+    Each pair is reduced once to (alert count, sid bitmask); a path's value
+    is its one-hop-shorter prefix's combined with its last pair's, so paths
+    are visited shortest first. The stored set is prefix-closed, so the
+    prefix has always been visited.
     """
-    arcs: dict[EndpointPair, list[Alert]] = {}
+    bits: dict[int, int] = {}
+    arcs: dict[tuple[str, str], tuple[int, int]] = {}
     endpoints_updated = 0
     for record in store.endpoints():
-        arcs[record.pair] = record.alerts
-        score = scorer(record.alerts)
+        mask = 0
+        for alert in record.alerts:
+            bit = bits.get(alert.sid)
+            if bit is None:
+                bit = bits[alert.sid] = 1 << len(bits)
+            mask |= bit
+        count = len(record.alerts)
+        arcs[record.pair] = (count, mask)
+        score = math.sqrt(mask.bit_count() * count)
         if score != record.ets:
             record.ets = score
             endpoints_updated += 1
+    sums: dict[tuple[str, ...], tuple[int, int]] = {}
     paths_updated = 0
-    for path in store.paths():
-        union: list[Alert] = []
-        for pair in path.pairs:
-            try:
-                union.extend(arcs[pair])
-            except KeyError:
-                raise StoreError(
-                    f"path {path.vertices} references pair {pair} "
-                    "with no endpoint annotations"
-                ) from None
-        score = scorer(union)
+    for path in sorted(store.paths(), key=lambda p: len(p.vertices)):
+        vertices = path.vertices
+        try:
+            count, mask = arcs[vertices[-2:]]
+            if len(vertices) > 2:
+                prefix_count, prefix_mask = sums[vertices[:-1]]
+                count += prefix_count
+                mask |= prefix_mask
+        except KeyError as exc:
+            raise StoreError(f"path {vertices} lacks pair or prefix {exc.args[0]}") from None
+        sums[vertices] = (count, mask)
+        score = math.sqrt(mask.bit_count() * count)
         if score != path.pts:
             path.pts = score
             paths_updated += 1

@@ -2,9 +2,10 @@
 
 Single-writer, in-process. Every query the maintenance and query layers
 need is backed by a dict index, never a scan over unrelated records; the
-access counters exist so tests can verify that. Snapshots are
-line-delimited JSON in a canonical sort order, which makes equal stores
-produce byte-identical files.
+access counters exist so tests can verify that. Snapshots hold only the
+alert log, as line-delimited JSON in a canonical sort order, which makes
+equal stores produce byte-identical files; paths and scores are derived
+again on load.
 
 Concurrency contract: one writer at a time, readers see a consistent store
 only between mutating calls. The CLI enforces this across processes with
@@ -22,12 +23,12 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import StoreError
-from .model import Alert, EndpointPair, EndpointRecord, PathRecord
+from .model import Alert, EndpointPair, EndpointRecord, OrderKey, PathRecord
 
 SNAPSHOT_FORMAT = "alert-path-store"
-SNAPSHOT_VERSION = 2
-# Version 1 path lines also carried a "children" list, which load ignores.
-READABLE_VERSIONS = (1, 2)
+SNAPSHOT_VERSION = 3
+# Versions 1 and 2 also hold path lines, which load counts but never reads.
+READABLE_VERSIONS = (1, 2, 3)
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,7 +66,7 @@ class AlertStore:
         self._seqs: set[int] = set()
         self._alert_count = 0
         self._max_seq = -1
-        self._latest_time_us: int | None = None
+        self._head: OrderKey | None = None
         self._ranked_endpoints: list[EndpointRecord] | None = None
         self._ranked_paths: list[PathRecord] | None = None
         self.scores_stale = False
@@ -96,8 +97,8 @@ class AlertStore:
         self._alert_count += 1
         if alert.seq > self._max_seq:
             self._max_seq = alert.seq
-        if self._latest_time_us is None or alert.time_us > self._latest_time_us:
-            self._latest_time_us = alert.time_us
+        if self._head is None or alert.key > self._head:
+            self._head = alert.key
         self.scores_stale = True
         self._ranked_endpoints = None
         return record, created
@@ -124,14 +125,13 @@ class AlertStore:
         backstop. Endpoint records must already exist for every pair so
         readers never see a path whose annotations are missing.
         """
-        if path.vertices in self._paths:
-            raise StoreError(f"path {path.vertices} already stored")
-        for pair in path.pairs:
+        vertices = path.vertices
+        if vertices in self._paths:
+            raise StoreError(f"path {vertices} already stored")
+        for pair in zip(vertices, vertices[1:]):  # plain tuples hash like EndpointPair
             if pair not in self._endpoints:
-                raise StoreError(
-                    f"path {path.vertices} references unknown pair {pair}"
-                )
-        self._paths[path.vertices] = path
+                raise StoreError(f"path {vertices} references unknown pair {pair}")
+        self._paths[vertices] = path
         self._by_origin[path.origin].append(path)
         self._by_target[path.target].append(path)
         self._by_extremes[(path.origin, path.target)].append(path)
@@ -215,8 +215,13 @@ class AlertStore:
         return self._max_seq + 1
 
     @property
+    def head(self) -> OrderKey | None:
+        """The largest (time, seq) key stored: the front of the stream."""
+        return self._head
+
+    @property
     def latest_time_us(self) -> int | None:
-        return self._latest_time_us
+        return None if self._head is None else self._head[0]
 
     def stats(self) -> StoreStats:
         return StoreStats(
@@ -231,43 +236,29 @@ class AlertStore:
     # ------------------------------------------------------------------
 
     def snapshot(self, destination: str | Path) -> None:
-        """Write the whole store to one portable file.
+        """Write the store's alert log to one portable file.
 
-        Records are emitted in canonical order (endpoints by pair with
-        alerts by (time, seq), then paths by vertex sequence), so stores
-        with equal content produce byte-identical snapshots.
+        Only alerts are written, endpoints by pair with alerts by (time,
+        seq); paths and scores are derived from them on load. Stores with
+        equal alerts produce byte-identical snapshots.
         """
         destination = Path(destination)
         header = {
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
-            "scores_stale": self.scores_stale,
             "endpoints": len(self._endpoints),
-            "paths": len(self._paths),
         }
         lines = [_dump(header)]
-        for pair in sorted(self._endpoints):
-            record = self._endpoints[pair]
+        for pair, record in sorted(self._endpoints.items()):
             lines.append(
                 _dump(
                     {
                         "src": pair.source,
                         "dst": pair.destination,
-                        "ets": record.ets,
                         "alerts": [
                             [a.time_us, a.sid, a.seq]
                             for a in sorted(record.alerts, key=lambda a: a.key)
                         ],
-                    }
-                )
-            )
-        for vertices in sorted(self._paths):
-            record = self._paths[vertices]
-            lines.append(
-                _dump(
-                    {
-                        "vertices": list(vertices),
-                        "pts": record.pts,
                     }
                 )
             )
@@ -278,9 +269,22 @@ class AlertStore:
             # the rename below must never publish a file whose data is not on disk
             os.fsync(handle.fileno())
         os.replace(tmp, destination)
+        if hasattr(os, "O_DIRECTORY"):  # POSIX: make the rename itself durable
+            directory = os.open(destination.parent, os.O_RDONLY | os.O_DIRECTORY)
+            try:
+                os.fsync(directory)
+            finally:
+                os.close(directory)
 
     def load(self, source: str | Path) -> None:
-        """Replace the store's contents with a snapshot's."""
+        """Replace the store's contents with a snapshot's.
+
+        The alerts are replayed in (time, seq) order and then scored, so
+        every path and score is derived, never read from the file.
+        """
+        # maintenance imports this module, so importing it at the top would be circular
+        from .maintenance import insert_alert, recompute_threat_scores
+
         source = Path(source)
         try:
             raw = source.read_text(encoding="utf-8")
@@ -292,54 +296,36 @@ class AlertStore:
         header = _load_line(lines[0], 1)
         if header.get("format") != SNAPSHOT_FORMAT:
             raise StoreError(f"not a {SNAPSHOT_FORMAT} snapshot: {source}")
-        if header.get("version") not in READABLE_VERSIONS:
-            raise StoreError(f"unsupported snapshot version {header.get('version')}")
+        version = header.get("version")
+        if version not in READABLE_VERSIONS:
+            raise StoreError(f"unsupported snapshot version {version}")
         n_endpoints = int(header["endpoints"])
-        n_paths = int(header["paths"])
+        n_paths = int(header["paths"]) if version < 3 else 0
         if len(lines) != 1 + n_endpoints + n_paths:
             raise StoreError(
                 f"snapshot {source} truncated: header promises "
                 f"{n_endpoints + n_paths} records, found {len(lines) - 1}"
             )
 
-        self.__init__()
-        for offset in range(n_endpoints):
-            line_no = 2 + offset
-            row = _load_line(lines[1 + offset], line_no)
+        alerts: list[Alert] = []
+        for line_no in range(2, 2 + n_endpoints):
+            row = _load_line(lines[line_no - 1], line_no)
             try:
-                pair = EndpointPair(row["src"], row["dst"])
-                record = EndpointRecord(pair, ets=float(row["ets"]))
-                for time_us, sid, seq in row["alerts"]:
-                    record.alerts.append(
-                        Alert(pair.source, pair.destination, int(time_us), int(sid), int(seq))
-                    )
+                found = [
+                    Alert(row["src"], row["dst"], int(time_us), int(sid), int(seq))
+                    for time_us, sid, seq in row["alerts"]
+                ]
             except (KeyError, TypeError, ValueError) as exc:
                 raise StoreError(f"snapshot line {line_no}: bad endpoint record ({exc})")
-            if not record.alerts:
+            if not found:
                 raise StoreError(f"snapshot line {line_no}: endpoint without alerts")
-            self._endpoints[pair] = record
-            self._nodes.add(pair.source)
-            self._nodes.add(pair.destination)
-            for alert in record.alerts:
-                if alert.seq in self._seqs:
-                    raise StoreError(
-                        f"snapshot line {line_no}: duplicate ordinal {alert.seq}"
-                    )
-                self._seqs.add(alert.seq)
-                self._alert_count += 1
-                if alert.seq > self._max_seq:
-                    self._max_seq = alert.seq
-                if self._latest_time_us is None or alert.time_us > self._latest_time_us:
-                    self._latest_time_us = alert.time_us
-        for offset in range(n_paths):
-            line_no = 2 + n_endpoints + offset
-            row = _load_line(lines[1 + n_endpoints + offset], line_no)
-            try:
-                record = PathRecord(tuple(row["vertices"]), pts=float(row["pts"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise StoreError(f"snapshot line {line_no}: bad path record ({exc})")
-            self.insert_path(record)
-        self.scores_stale = bool(header.get("scores_stale", False))
+            alerts.extend(found)
+
+        self.__init__()
+        alerts.sort(key=lambda a: a.key)
+        for alert in alerts:
+            insert_alert(self, alert)
+        recompute_threat_scores(self)
 
 
 def _dump(obj: dict) -> str:

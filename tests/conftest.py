@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
 from alertpaths.model import Alert
+from alertpaths.store import AlertStore
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -16,6 +18,22 @@ def mk_alert(
 ) -> Alert:
     """Alert shorthand; seq defaults to the time so streams stay ordered."""
     return Alert(source, dest, time_us, sid, seq=time_us if seq is None else seq)
+
+
+def canonical_state(store: AlertStore) -> str:
+    """Everything a store holds, in a canonical order: each endpoint with its
+    sorted alert keys, sids and ETS, then each path with its PTS.
+
+    Snapshots hold only alerts, so comparing this dump is what shows that
+    two stores derived the same paths and scores.
+    """
+    lines = []
+    for record in sorted(store.endpoints(), key=lambda r: r.pair):
+        alerts = sorted([a.time_us, a.seq, a.sid] for a in record.alerts)
+        lines.append(json.dumps([list(record.pair), alerts, record.ets]))
+    for path in sorted(store.paths(), key=lambda p: p.vertices):
+        lines.append(json.dumps([list(path.vertices), path.pts]))
+    return "\n".join(lines)
 
 
 @pytest.fixture

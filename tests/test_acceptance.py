@@ -25,7 +25,7 @@ from alertpaths.query import build_backward_tree, build_forward_tree
 from alertpaths.render import tree_to_dot
 from alertpaths.store import AlertStore
 
-from conftest import mk_alert
+from conftest import canonical_state, mk_alert
 
 
 @contextlib.contextmanager
@@ -114,8 +114,14 @@ def test_criterion_5_reinsertion_equivalence(tmp_path):
         for seed in range(100, 200):
             alerts = instance(seed)
             withheld = random.Random(seed).randrange(len(alerts))
-            build_store(alerts).snapshot(full_file)
-            build_store_with_reinsertion(alerts, withheld).snapshot(redone_file)
+            full = build_store(alerts)
+            redone = build_store_with_reinsertion(alerts, withheld)
+            assert canonical_state(full) == canonical_state(redone), seed
+            recompute_threat_scores(full)
+            recompute_threat_scores(redone)
+            assert canonical_state(full) == canonical_state(redone), seed
+            full.snapshot(full_file)
+            redone.snapshot(redone_file)
             assert full_file.read_bytes() == redone_file.read_bytes(), seed
 
 
@@ -189,11 +195,12 @@ def test_criterion_8_ingest_throughput():
 
 
 def test_criterion_9_byte_determinism(tmp_path):
-    with criterion(9, "re-runs produce byte-identical snapshots and DOT output"):
-        def snapshot_bytes(build) -> bytes:
+    with criterion(9, "re-runs produce byte-identical state, snapshots and DOT output"):
+        def state_and_bytes(build) -> tuple[str, bytes]:
             target = tmp_path / "snap.jsonl"
-            build().snapshot(target)
-            return target.read_bytes()
+            store = build()
+            store.snapshot(target)
+            return canonical_state(store), target.read_bytes()
 
         def chain_run() -> AlertStore:
             return build_store(generate_chain(120))
@@ -208,7 +215,7 @@ def test_criterion_9_byte_determinism(tmp_path):
             return build_store_with_reinsertion(alerts, len(alerts) // 2)
 
         for build in (chain_run, random_run, reinsert_run):
-            assert snapshot_bytes(build) == snapshot_bytes(build)
+            assert state_and_bytes(build) == state_and_bytes(build)
 
         def dot_outputs() -> list[str]:
             store = build_store(instance(44))

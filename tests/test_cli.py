@@ -60,30 +60,23 @@ def test_stats_roundtrip(capsys, store_dir, csv_feed):
     assert stats["alerts"] == 3
     assert stats["paths"] == 6
     assert stats["nodes"] == 4
+    assert "scores_stale" not in stats
 
 
 def test_score_then_paths_without_warning(capsys, store_dir, csv_feed):
+    # load rescores the replayed alerts, so no separate step is needed
     ingest_fixture(capsys, store_dir, csv_feed)
     code, out, err = run(capsys, "paths", "--store", str(store_dir),
                          "--origin", "v1", "--target", "v3")
     assert code == EXIT_OK
-    assert "stale" in err  # scores not recomputed yet
-    code, out, _ = run(capsys, "score", "--store", str(store_dir))
-    assert code == EXIT_OK
-    counts = json.loads(out)
-    assert counts["endpoints_updated"] == 3
-    assert counts["paths_updated"] == 6
-    code, out, err = run(capsys, "paths", "--store", str(store_dir),
-                         "--origin", "v1", "--target", "v3")
-    assert code == EXIT_OK
-    assert "stale" not in err
-    assert "v1 -> v2 -> v3" in out
+    assert err == ""
     assert out.splitlines()[0].startswith("path")
+    row = out.splitlines()[1].split()
+    assert row[:6] == ["v1", "->", "v2", "->", "v3", "2.00"]  # 2 sids, 2 alerts
 
 
 def test_paths_top_limit(capsys, store_dir, csv_feed):
     ingest_fixture(capsys, store_dir, csv_feed)
-    run(capsys, "score", "--store", str(store_dir))
     code, out, _ = run(capsys, "paths", "--store", str(store_dir),
                        "--origin", "v1", "--target", "v4", "--top", "1")
     assert code == EXIT_OK
@@ -92,7 +85,6 @@ def test_paths_top_limit(capsys, store_dir, csv_feed):
 
 def test_tree_stdout_and_files(capsys, store_dir, csv_feed, tmp_path):
     ingest_fixture(capsys, store_dir, csv_feed)
-    run(capsys, "score", "--store", str(store_dir))
     code, out, _ = run(capsys, "tree", "--store", str(store_dir), "--root", "v1")
     assert code == EXIT_OK
     tree = json.loads(out)
@@ -115,7 +107,6 @@ def test_tree_stdout_and_files(capsys, store_dir, csv_feed, tmp_path):
 
 def test_top_endpoints_paths_trees(capsys, store_dir, csv_feed):
     ingest_fixture(capsys, store_dir, csv_feed)
-    run(capsys, "score", "--store", str(store_dir))
     code, out, _ = run(capsys, "top", "--store", str(store_dir),
                        "--what", "endpoints", "--k", "2")
     assert code == EXIT_OK

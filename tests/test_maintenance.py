@@ -15,6 +15,7 @@ from alertpaths.bench import (
     generate_random,
 )
 from alertpaths.errors import OutOfOrderError, StoreError
+from alertpaths.ingest import ingest_stream
 from alertpaths.maintenance import (
     insert_alert,
     recompute_threat_scores,
@@ -101,10 +102,19 @@ def test_out_of_order_time_is_rejected_with_redirect():
 def test_out_of_order_seq_is_rejected():
     store = AlertStore()
     insert_alert(store, Alert("v1", "v2", 10, 1, seq=5))
+    # the (time, seq) key as a whole decides: (11, 3) lies beyond (10, 5)
+    outcome = insert_alert(store, Alert("v2", "v3", 11, 1, seq=3))
+    assert outcome.paths_created == 2
+    assert store.head == (11, 3)
     with pytest.raises(OutOfOrderError):
-        insert_alert(store, Alert("v5", "v6", 11, 1, seq=5))
+        insert_alert(store, Alert("v5", "v6", 11, 1, seq=3))  # at the head
     with pytest.raises(OutOfOrderError):
-        insert_alert(store, Alert("v5", "v6", 11, 1, seq=3))
+        insert_alert(store, Alert("v5", "v6", 11, 1, seq=2))  # behind it
+    before = store.stats()
+    with pytest.raises(StoreError, match="ordinal 5"):
+        insert_alert(store, Alert("v5", "v6", 12, 1, seq=5))  # reused ordinal
+    assert store.stats() == before
+    assert store.head == (11, 3)
 
 
 def test_equal_time_later_seq_is_accepted():
@@ -132,6 +142,26 @@ def test_insertion_matches_oracle_on_seeded_instances():
         alerts = generate_random(rng.randint(3, 7), rng.randint(3, 30), seed=seed)
         store = build_store(alerts)
         assert stored_vertex_sets(store) == brute_force_paths(alerts), seed
+
+
+def test_key_order_replay_of_auto_mode_store():
+    # arrival order leaves late alerts with large seqs and early times;
+    # replaying every stored alert in (time, seq) order must still work
+    for seed in range(10):
+        alerts = generate_random(6, 30, seed=300 + seed)
+        random.Random(seed).shuffle(alerts)
+        lines = [f"{a.source},{a.destination},{a.time_us},{a.sid}" for a in alerts]
+        auto = AlertStore()
+        report = ingest_stream(auto, lines, fmt="csv", mode="auto")
+        assert report.reinserted > 0, seed
+        replayed = AlertStore()
+        stored = sorted(
+            (a for record in auto.endpoints() for a in record.alerts),
+            key=lambda a: a.key,
+        )
+        for alert in stored:
+            insert_alert(replayed, alert)
+        assert stored_vertex_sets(replayed) == stored_vertex_sets(auto), seed
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +273,21 @@ def test_recompute_missing_pair_is_store_inconsistency():
         recompute_threat_scores(store)
 
 
+def test_recompute_missing_prefix_is_store_inconsistency():
+    store = build_store(
+        [mk_alert("a", "b", 1, seq=0), mk_alert("b", "c", 2, seq=1)]
+    )
+    del store._paths[("a", "b")]  # break prefix closure under ("a", "b", "c")
+    with pytest.raises(StoreError):
+        recompute_threat_scores(store)
+
+
 def test_recompute_is_idempotent():
     store = build_store(generate_random(5, 20, seed=21))
     first = recompute_threat_scores(store)
     assert first[0] > 0
     assert recompute_threat_scores(store) == (0, 0)
     assert store.scores_stale is False
-
-
-def test_recompute_scorer_seam():
-    store = build_store(generate_chain(3))
-    recompute_threat_scores(store, scorer=lambda alerts: float(len(list(alerts))))
-    path = store.get_path(("v1", "v2", "v3", "v4"))
-    assert path is not None
-    assert path.pts == 3.0  # volume-only scoring through the seam
 
 
 def test_recompute_refreshes_after_mutation():

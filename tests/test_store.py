@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
 
 from alertpaths import store as store_module
-from alertpaths.bench import build_store, generate_chain, generate_random
+from alertpaths.bench import brute_force_paths, build_store, generate_chain, generate_random
 from alertpaths.errors import StoreError
-from alertpaths.maintenance import recompute_threat_scores
+from alertpaths.maintenance import insert_alert, recompute_threat_scores
 from alertpaths.model import EndpointPair, PathRecord
 from alertpaths.store import AlertStore
 
-from conftest import mk_alert
+from conftest import canonical_state, mk_alert
 
 
 def seeded_store(seed: int = 3, nodes: int = 6, alerts: int = 25) -> AlertStore:
@@ -197,16 +198,40 @@ def test_snapshot_load_round_trip(tmp_path):
     restored = AlertStore()
     restored.load(first)
     assert restored.stats() == store.stats()
-    assert restored.scores_stale == store.scores_stale
-    assert {p.vertices for p in restored.paths()} == {p.vertices for p in store.paths()}
-    for path in store.paths():
-        twin = restored.get_path(path.vertices)
-        assert twin is not None
-        assert twin.pts == path.pts
+    assert restored.scores_stale is False
+    assert restored.head == store.head
+    assert restored.next_seq == store.next_seq
+    assert canonical_state(restored) == canonical_state(store)
 
     second = tmp_path / "second.jsonl"
     restored.snapshot(second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_snapshot_holds_only_alerts(tmp_path):
+    store = seeded_store()
+    recompute_threat_scores(store)
+    target = tmp_path / "snap.jsonl"
+    store.snapshot(target)
+    lines = target.read_text(encoding="utf-8").splitlines()
+    assert json.loads(lines[0]) == {
+        "endpoints": store.stats().endpoint_count,
+        "format": "alert-path-store",
+        "version": 3,
+    }
+    assert len(lines) == 1 + store.stats().endpoint_count
+    for line in lines[1:]:
+        assert sorted(json.loads(line)) == ["alerts", "dst", "src"]
+
+
+def test_load_rescores_unscored_snapshot(tmp_path):
+    store = seeded_store()
+    target = tmp_path / "snap.jsonl"
+    store.snapshot(target)  # written before any recompute
+    restored = AlertStore()
+    restored.load(target)
+    recompute_threat_scores(store)
+    assert canonical_state(restored) == canonical_state(store)
 
 
 def test_snapshot_is_byte_deterministic(tmp_path):
@@ -229,6 +254,15 @@ def test_load_rejects_garbage(tmp_path):
     wrong.write_text('{"format":"something-else","version":1}\n', encoding="utf-8")
     with pytest.raises(StoreError):
         AlertStore().load(wrong)
+    reused = tmp_path / "reused.jsonl"
+    reused.write_text(
+        '{"endpoints":2,"format":"alert-path-store","version":3}\n'
+        '{"alerts":[[1,1,0]],"dst":"b","src":"a"}\n'
+        '{"alerts":[[2,1,0]],"dst":"c","src":"b"}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(StoreError, match="ordinal 0"):
+        AlertStore().load(reused)
 
 
 def test_load_rejects_truncated_snapshot(tmp_path):
@@ -252,7 +286,7 @@ V1_SNAPSHOT = (
 )
 
 
-def test_version_1_snapshot_loads_and_resaves_as_version_2(tmp_path):
+def test_version_1_snapshot_loads_and_resaves_as_current_version(tmp_path):
     old = tmp_path / "v1.jsonl"
     old.write_text(V1_SNAPSHOT, encoding="utf-8")
     restored = AlertStore()
@@ -260,14 +294,44 @@ def test_version_1_snapshot_loads_and_resaves_as_version_2(tmp_path):
     resaved = tmp_path / "resaved.jsonl"
     restored.snapshot(resaved)
 
-    expected = tmp_path / "expected.jsonl"
-    build_store(
+    fresh = build_store(
         [mk_alert("v1", "v2", 1, seq=0), mk_alert("v2", "v3", 2, seq=1)]
-    ).snapshot(expected)
+    )
+    recompute_threat_scores(fresh)
+    assert canonical_state(restored) == canonical_state(fresh)
+    expected = tmp_path / "expected.jsonl"
+    fresh.snapshot(expected)
     assert resaved.read_bytes() == expected.read_bytes()
-    header = resaved.read_text(encoding="utf-8").splitlines()[0]
-    assert '"version":2' in header
-    assert b"children" not in resaved.read_bytes()
+
+
+# Version 2, two arcs a -> b -> c plus x -> a at a later time. The feasible
+# path ("a", "b", "c") is missing, and ("x", "a", "b") is infeasible because
+# x -> a comes after a -> b; the header counts match the lines.
+V2_SNAPSHOT_WITH_BAD_PATHS = (
+    '{"endpoints":3,"format":"alert-path-store","paths":4,"scores_stale":false,"version":2}\n'
+    '{"alerts":[[1,1,0]],"dst":"b","ets":1.0,"src":"a"}\n'
+    '{"alerts":[[2,1,1]],"dst":"c","ets":1.0,"src":"b"}\n'
+    '{"alerts":[[3,1,2]],"dst":"a","ets":1.0,"src":"x"}\n'
+    '{"pts":1.0,"vertices":["a","b"]}\n'
+    '{"pts":1.0,"vertices":["b","c"]}\n'
+    '{"pts":1.0,"vertices":["x","a"]}\n'
+    '{"pts":9.0,"vertices":["x","a","b"]}\n'
+)
+
+
+def test_load_derives_paths_instead_of_trusting_path_lines(tmp_path):
+    snapshot = tmp_path / "v2.jsonl"
+    snapshot.write_text(V2_SNAPSHOT_WITH_BAD_PATHS, encoding="utf-8")
+    store = AlertStore()
+    store.load(snapshot)
+    insert_alert(store, mk_alert("c", "d", 4, seq=3))
+    alerts = [
+        mk_alert("a", "b", 1, seq=0),
+        mk_alert("b", "c", 2, seq=1),
+        mk_alert("x", "a", 3, seq=2),
+        mk_alert("c", "d", 4, seq=3),
+    ]
+    assert {p.vertices for p in store.paths()} == brute_force_paths(alerts)
 
 
 def test_snapshot_syncs_temp_file_before_replacing(tmp_path, monkeypatch):
@@ -292,4 +356,10 @@ def test_snapshot_syncs_temp_file_before_replacing(tmp_path, monkeypatch):
     size = target.stat().st_size
     inode = target.stat().st_ino
     # the whole temp file reaches the disk before it takes the target's name
-    assert events == [("fsync", inode, size), ("replace", inode, size)]
+    assert events[:2] == [("fsync", inode, size), ("replace", inode, size)]
+    if hasattr(os, "O_DIRECTORY"):
+        # and then the directory entry itself, so the rename survives a crash
+        assert len(events) == 3
+        assert events[2][:2] == ("fsync", tmp_path.stat().st_ino)
+    else:
+        assert len(events) == 2
