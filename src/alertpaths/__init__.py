@@ -13,7 +13,6 @@ from .ingest import (
     parse_csv_line,
     parse_eve_line,
     parse_timestamp,
-    reinsert_stream,
 )
 from .maintenance import (
     InsertOutcome,
@@ -79,7 +78,6 @@ __all__ = [
     "paths_to_table",
     "recompute_threat_scores",
     "reinsert_alert",
-    "reinsert_stream",
     "retrieve_paths",
     "threat_score",
     "top_trees",

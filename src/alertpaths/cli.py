@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import bench
 from .errors import ParseError, StoreError
-from .ingest import ingest_stream, reinsert_stream
+from .ingest import ingest_stream
 from .query import build_backward_tree, build_forward_tree, retrieve_paths, top_trees
 from .render import color_hex, format_score, paths_to_table, tree_to_dot, tree_to_structured
 from .store import AlertStore
@@ -80,11 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--input", required=True, help="feed file to read")
     cmd.add_argument("--format", choices=("eve", "csv"), default="eve")
     cmd.add_argument("--mode", choices=("chronological", "auto"), default="chronological")
-    cmd.add_argument("--strict", action="store_true", help="fail on the first bad line")
-
-    cmd = add("reinsert", "route every record through reinsertion", _cmd_reinsert)
-    cmd.add_argument("--input", required=True, help="feed file to read")
-    cmd.add_argument("--format", choices=("eve", "csv"), default="eve")
     cmd.add_argument("--strict", action="store_true", help="fail on the first bad line")
 
     cmd = add("paths", "paths between two endpoints, best first", _cmd_paths)
@@ -177,21 +172,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                 mode=args.mode,
                 strict=args.strict,
                 progress=_progress,
-            )
-        _save_store(store, directory)
-    for line_no, message in report.errors:
-        print(f"line {line_no}: {message}", file=sys.stderr)
-    print(json.dumps(report.to_dict(), sort_keys=True))
-    return EXIT_OK
-
-
-def _cmd_reinsert(args: argparse.Namespace) -> int:
-    directory = _store_dir(args)
-    with _locked(directory, exclusive=True):
-        store = _open_store(directory, must_exist=False)
-        with open(args.input, "r", encoding="utf-8") as feed:
-            report = reinsert_stream(
-                store, feed, fmt=args.format, strict=args.strict, progress=_progress
             )
         _save_store(store, directory)
     for line_no, message in report.errors:

@@ -19,7 +19,7 @@ from datetime import datetime, timedelta, timezone
 from typing import Callable, Iterable, Literal
 
 from .errors import ParseError
-from .maintenance import InsertOutcome, insert_alert, reinsert_alert
+from .maintenance import insert_alert, reinsert_alert
 from .model import Alert
 from .store import AlertStore
 
@@ -160,31 +160,8 @@ def ingest_stream(
         else:
             outcome = insert_alert(store, alert)
             report.inserted += 1
-        _tally(report, outcome)
-        done += 1
-        if progress is not None and done % _PROGRESS_EVERY == 0:
-            progress(done)
-    return report
-
-
-def reinsert_stream(
-    store: AlertStore,
-    lines: Iterable[str],
-    *,
-    fmt: Literal["eve", "csv"] = "eve",
-    strict: bool = False,
-    progress: Callable[[int], None] | None = None,
-) -> IngestReport:
-    """Route every record of a feed through reinsertion, in input order."""
-    report = IngestReport()
-    alerts = _parse_all(lines, fmt, strict, report)
-    seq = store.next_seq
-    done = 0
-    for _line_no, alert in alerts:
-        outcome = reinsert_alert(store, replace(alert, seq=seq))
-        seq += 1
-        report.reinserted += 1
-        _tally(report, outcome)
+        report.endpoints_created += outcome.endpoints_created
+        report.paths_created += outcome.paths_created
         done += 1
         if progress is not None and done % _PROGRESS_EVERY == 0:
             progress(done)
@@ -218,8 +195,3 @@ def _parse_all(
         report.parsed += 1
         alerts.append((line_no, alert))
     return alerts
-
-
-def _tally(report: IngestReport, outcome: InsertOutcome) -> None:
-    report.endpoints_created += outcome.endpoints_created
-    report.paths_created += outcome.paths_created

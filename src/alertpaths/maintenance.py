@@ -164,5 +164,5 @@ def recompute_threat_scores(store: AlertStore) -> tuple[int, int]:
         if score != path.pts:
             path.pts = score
             paths_updated += 1
-    store.mark_scores_fresh()
+    store.scores_stale = False
     return endpoints_updated, paths_updated

@@ -1,11 +1,13 @@
 """Embedded store for endpoint and path records.
 
-Single-writer, in-process. Every query the maintenance and query layers
-need is backed by a dict index, never a scan over unrelated records; the
-access counters exist so tests can verify that. Snapshots hold only the
-alert log, as line-delimited JSON in a canonical sort order, which makes
-equal stores produce byte-identical files; paths and scores are derived
-again on load.
+Single-writer, in-process. The store keeps the path set and two indexes,
+by origin and by target; everything else is computed when it is read.
+Lookups by origin or target touch only the matching records, a lookup by
+both filters the origin's paths, and rankings scan every record; the
+access counters record what each call touched so tests can verify that.
+Snapshots hold only the alert log, as line-delimited JSON in a canonical
+sort order, which makes equal stores produce byte-identical files; paths
+and scores are derived again on load.
 
 Concurrency contract: one writer at a time, readers see a consistent store
 only between mutating calls. The CLI enforces this across processes with
@@ -15,6 +17,7 @@ without their own locking.
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 from collections import defaultdict
@@ -33,7 +36,7 @@ READABLE_VERSIONS = (1, 2, 3)
 
 @dataclass(frozen=True, slots=True)
 class StoreStats:
-    """Cheap size readout; every field is maintained incrementally."""
+    """Size readout; node_count is counted over the endpoint pairs on each call."""
 
     node_count: int
     endpoint_count: int
@@ -61,14 +64,9 @@ class AlertStore:
         self._paths: dict[tuple[str, ...], PathRecord] = {}
         self._by_origin: dict[str, list[PathRecord]] = defaultdict(list)
         self._by_target: dict[str, list[PathRecord]] = defaultdict(list)
-        self._by_extremes: dict[tuple[str, str], list[PathRecord]] = defaultdict(list)
-        self._nodes: set[str] = set()
         self._seqs: set[int] = set()
-        self._alert_count = 0
         self._max_seq = -1
         self._head: OrderKey | None = None
-        self._ranked_endpoints: list[EndpointRecord] | None = None
-        self._ranked_paths: list[PathRecord] | None = None
         self.scores_stale = False
         self.counters = AccessCounters()
 
@@ -79,8 +77,7 @@ class AlertStore:
     def upsert_endpoint(self, alert: Alert) -> tuple[EndpointRecord, bool]:
         """Append an alert to its pair's record, creating the record if new.
 
-        Returns (record, created). The alert's seq must be unused; both
-        vertices become known nodes even for self-loops.
+        Returns (record, created). The alert's seq must be unused.
         """
         if alert.seq in self._seqs:
             raise StoreError(f"ingestion ordinal {alert.seq} already in use")
@@ -91,16 +88,12 @@ class AlertStore:
             record = EndpointRecord(pair)
             self._endpoints[pair] = record
         record.alerts.append(alert)
-        self._nodes.add(alert.source)
-        self._nodes.add(alert.destination)
         self._seqs.add(alert.seq)
-        self._alert_count += 1
         if alert.seq > self._max_seq:
             self._max_seq = alert.seq
         if self._head is None or alert.key > self._head:
             self._head = alert.key
         self.scores_stale = True
-        self._ranked_endpoints = None
         return record, created
 
     def endpoint(self, pair: EndpointPair) -> EndpointRecord | None:
@@ -134,9 +127,7 @@ class AlertStore:
         self._paths[vertices] = path
         self._by_origin[path.origin].append(path)
         self._by_target[path.target].append(path)
-        self._by_extremes[(path.origin, path.target)].append(path)
         self.scores_stale = True
-        self._ranked_paths = None
 
     def get_path(self, vertices: tuple[str, ...]) -> PathRecord | None:
         record = self._paths.get(vertices)
@@ -163,9 +154,10 @@ class AlertStore:
         return found
 
     def find_paths_between(self, origin: str, target: str) -> list[PathRecord]:
-        found = list(self._by_extremes.get((origin, target), ()))
-        self.counters.path_records += len(found)
-        return found
+        """The origin's paths that end at target, in insertion order."""
+        scanned = self._by_origin.get(origin, ())
+        self.counters.path_records += len(scanned)
+        return [p for p in scanned if p.target == target]
 
     # ------------------------------------------------------------------
     # ranking
@@ -174,37 +166,22 @@ class AlertStore:
     def top_endpoints_by_ets(self, k: int) -> tuple[list[EndpointRecord], bool]:
         """k highest cached ETS values, ties broken by pair.
 
-        The second element reports whether cached scores are stale. The
-        ranking index is rebuilt at most once per mutation epoch; the call
-        itself only scans the first k entries.
+        The second element reports whether cached scores are stale. Each
+        call selects from every record with a k-bounded heap.
         """
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
-        if self._ranked_endpoints is None:
-            self._ranked_endpoints = sorted(
-                self._endpoints.values(), key=lambda r: (-r.ets, r.pair)
-            )
-        top = self._ranked_endpoints[:k]
-        self.counters.endpoint_records += len(top)
+        self.counters.endpoint_records += len(self._endpoints)
+        top = heapq.nsmallest(k, self._endpoints.values(), key=lambda r: (-r.ets, r.pair))
         return top, self.scores_stale
 
     def top_paths_by_pts(self, k: int) -> tuple[list[PathRecord], bool]:
         """k highest cached PTS values, ties broken by vertex sequence."""
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
-        if self._ranked_paths is None:
-            self._ranked_paths = sorted(
-                self._paths.values(), key=lambda p: (-p.pts, p.vertices)
-            )
-        top = self._ranked_paths[:k]
-        self.counters.path_records += len(top)
+        self.counters.path_records += len(self._paths)
+        top = heapq.nsmallest(k, self._paths.values(), key=lambda p: (-p.pts, p.vertices))
         return top, self.scores_stale
-
-    def mark_scores_fresh(self) -> None:
-        """Called after a recompute pass: scores now match the data."""
-        self.scores_stale = False
-        self._ranked_endpoints = None
-        self._ranked_paths = None
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -225,9 +202,9 @@ class AlertStore:
 
     def stats(self) -> StoreStats:
         return StoreStats(
-            node_count=len(self._nodes),
+            node_count=len({vertex for pair in self._endpoints for vertex in pair}),
             endpoint_count=len(self._endpoints),
-            alert_count=self._alert_count,
+            alert_count=len(self._seqs),
             path_count=len(self._paths),
         )
 
@@ -279,8 +256,11 @@ class AlertStore:
     def load(self, source: str | Path) -> None:
         """Replace the store's contents with a snapshot's.
 
-        The alerts are replayed in (time, seq) order and then scored, so
-        every path and score is derived, never read from the file.
+        The file is outside input: every line is validated, and ordinals
+        must be unique across it, before the store is touched, so a bad
+        file leaves the store as it was. The alerts are then replayed in
+        (time, seq) order and scored, so every path and score is derived,
+        never read from the file.
         """
         # maintenance imports this module, so importing it at the top would be circular
         from .maintenance import insert_alert, recompute_threat_scores
@@ -297,10 +277,10 @@ class AlertStore:
         if header.get("format") != SNAPSHOT_FORMAT:
             raise StoreError(f"not a {SNAPSHOT_FORMAT} snapshot: {source}")
         version = header.get("version")
-        if version not in READABLE_VERSIONS:
-            raise StoreError(f"unsupported snapshot version {version}")
-        n_endpoints = int(header["endpoints"])
-        n_paths = int(header["paths"]) if version < 3 else 0
+        if not _is_int(version) or version not in READABLE_VERSIONS:
+            raise StoreError(f"unsupported snapshot version {version!r}")
+        n_endpoints = _header_count(header, "endpoints")
+        n_paths = _header_count(header, "paths") if version < 3 else 0
         if len(lines) != 1 + n_endpoints + n_paths:
             raise StoreError(
                 f"snapshot {source} truncated: header promises "
@@ -308,18 +288,36 @@ class AlertStore:
             )
 
         alerts: list[Alert] = []
+        line_of_seq: dict[int, int] = {}
         for line_no in range(2, 2 + n_endpoints):
             row = _load_line(lines[line_no - 1], line_no)
-            try:
-                found = [
-                    Alert(row["src"], row["dst"], int(time_us), int(sid), int(seq))
-                    for time_us, sid, seq in row["alerts"]
-                ]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise StoreError(f"snapshot line {line_no}: bad endpoint record ({exc})")
-            if not found:
-                raise StoreError(f"snapshot line {line_no}: endpoint without alerts")
-            alerts.extend(found)
+            src, dst, triples = row.get("src"), row.get("dst"), row.get("alerts")
+            if not (isinstance(src, str) and src and isinstance(dst, str) and dst):
+                raise StoreError(
+                    f"snapshot line {line_no}: src and dst must be non-empty strings"
+                )
+            if not isinstance(triples, list) or not triples:
+                raise StoreError(
+                    f"snapshot line {line_no}: alerts must be a non-empty list"
+                )
+            for triple in triples:
+                if not (
+                    isinstance(triple, list)
+                    and len(triple) == 3
+                    and all(map(_is_int, triple))
+                ):
+                    raise StoreError(
+                        f"snapshot line {line_no}: alert {triple!r} is not "
+                        "three integers [time_us, sid, seq]"
+                    )
+                time_us, sid, seq = triple
+                if seq in line_of_seq:
+                    raise StoreError(
+                        f"snapshot line {line_no}: ordinal {seq} already used "
+                        f"on line {line_of_seq[seq]}"
+                    )
+                line_of_seq[seq] = line_no
+                alerts.append(Alert(src, dst, time_us, sid, seq))
 
         self.__init__()
         alerts.sort(key=lambda a: a.key)
@@ -340,3 +338,17 @@ def _load_line(line: str, line_no: int) -> dict:
     if not isinstance(row, dict):
         raise StoreError(f"snapshot line {line_no}: expected an object")
     return row
+
+
+def _is_int(value: object) -> bool:
+    # JSON true and false load as bool, which subclasses int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _header_count(header: dict, key: str) -> int:
+    value = header.get(key)
+    if not _is_int(value) or value < 0:
+        raise StoreError(
+            f"snapshot line 1: {key!r} must be a non-negative integer, got {value!r}"
+        )
+    return value

@@ -145,8 +145,8 @@ def test_reinsert_command(capsys, store_dir, tmp_path):
     ingest_fixture(capsys, store_dir, first)
     late = tmp_path / "late.csv"
     late.write_text("v2,v3,2000,1\n", encoding="utf-8")
-    code, out, _ = run(capsys, "reinsert", "--store", str(store_dir),
-                       "--input", str(late), "--format", "csv")
+    code, out, _ = run(capsys, "ingest", "--store", str(store_dir),
+                       "--input", str(late), "--format", "csv", "--mode", "auto")
     assert code == EXIT_OK
     assert json.loads(out)["reinserted"] == 1
     code, out, _ = run(capsys, "stats", "--store", str(store_dir))

@@ -14,7 +14,6 @@ from alertpaths.ingest import (
     parse_csv_line,
     parse_eve_line,
     parse_timestamp,
-    reinsert_stream,
 )
 from alertpaths.store import AlertStore
 
@@ -216,12 +215,13 @@ def test_ingest_unknown_format_rejected():
 
 
 def test_reinsert_stream_routes_everything():
+    # auto mode inserts what arrives at the head and reinserts what is behind it
     store = AlertStore()
-    report = reinsert_stream(
-        store, ["v2,v3,2000,1", "v1,v2,1000,1"], fmt="csv"
+    report = ingest_stream(
+        store, ["v2,v3,2000,1", "v1,v2,1000,1"], fmt="csv", mode="auto"
     )
-    assert report.reinserted == 2
-    assert report.inserted == 0
+    assert report.reinserted == 1
+    assert report.inserted == 1
     assert {p.vertices for p in store.paths()} == {
         ("v1", "v2"),
         ("v2", "v3"),

@@ -85,12 +85,20 @@ def test_find_paths_spec_shapes():
 
 def test_index_consistency_on_random_instance():
     store = seeded_store()
-    for path in store.paths():
+    all_paths = list(store.paths())
+    for path in all_paths:
         assert path in store.find_paths_starting_at(path.origin)
         assert path in store.find_paths_ending_at(path.target)
-        assert path in store.find_paths_between(path.origin, path.target)
         for pair in path.pairs:
             assert store.endpoint(pair) is not None
+    extremes = {(p.origin, p.target) for p in all_paths}
+    unjoined = next(
+        (o, t) for o in ("v1", "v2", "v3") for t in ("v4", "v5", "v6")
+        if (o, t) not in extremes
+    )
+    for origin, target in [*sorted(extremes), unjoined]:
+        expected = [p for p in all_paths if (p.origin, p.target) == (origin, target)]
+        assert store.find_paths_between(origin, target) == expected
 
 
 def test_child_symmetry_on_random_instance():
@@ -110,10 +118,12 @@ def test_lookup_touches_only_matching_records():
     store.counters.reset()
     ending = store.find_paths_ending_at("v1")
     assert store.counters.path_records == len(ending)
+    # a lookup by both ends filters the origin's paths, and no others
+    scanned = len(store.find_paths_starting_at("v1"))
     store.counters.reset()
-    between = store.find_paths_between("v1", "v2")
-    assert store.counters.path_records == len(between)
-    assert stats.path_count > len(between)  # the index really is selective
+    store.find_paths_between("v1", "v2")
+    assert store.counters.path_records == scanned
+    assert stats.path_count > scanned
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +163,21 @@ def test_top_k_shapes():
         store.top_paths_by_pts(-1)
     with pytest.raises(ValueError):
         store.top_endpoints_by_ets(-2)
+
+    # distinct sids on a chain: paths of equal length tie, every endpoint ties;
+    # the labels descend, so insertion order is the reverse of the tie-break
+    labels = "gfedcba"
+    arcs = zip(labels, labels[1:])
+    tied = build_store([mk_alert(a, b, t, sid=t) for t, (a, b) in enumerate(arcs)])
+    recompute_threat_scores(tied)
+    paths = sorted(tied.paths(), key=lambda p: (-p.pts, p.vertices))
+    endpoints = sorted(tied.endpoints(), key=lambda r: (-r.ets, r.pair))
+    assert len({p.pts for p in paths}) < len(paths)
+    assert len({r.ets for r in endpoints}) == 1
+    for k in range(len(paths) + 2):
+        assert tied.top_paths_by_pts(k) == (paths[:k], False)
+    for k in range(len(endpoints) + 2):
+        assert tied.top_endpoints_by_ets(k) == (endpoints[:k], False)
 
 
 def test_staleness_flag_follows_mutations():
@@ -261,8 +286,60 @@ def test_load_rejects_garbage(tmp_path):
         '{"alerts":[[2,1,0]],"dst":"c","src":"b"}\n',
         encoding="utf-8",
     )
-    with pytest.raises(StoreError, match="ordinal 0"):
+    with pytest.raises(StoreError, match="line 3: ordinal 0 already used on line 2"):
         AlertStore().load(reused)
+    duplicate_key = tmp_path / "duplicate_key.jsonl"
+    duplicate_key.write_text(DUPLICATE_KEY_SNAPSHOT, encoding="utf-8")
+    with pytest.raises(StoreError, match="ordinal 0"):
+        AlertStore().load(duplicate_key)
+
+    header = '{"endpoints":1,"format":"alert-path-store","version":3}\n'
+    endpoint = '{"alerts":[[1,1,0]],"dst":"b","src":"a"}\n'
+    malformed = [
+        '{"format":"alert-path-store","version":3}\n',
+        '{"endpoints":"x","format":"alert-path-store","version":3}\n' + endpoint,
+        '{"endpoints":-1,"format":"alert-path-store","version":3}\n',
+        '{"endpoints":true,"format":"alert-path-store","version":3}\n' + endpoint,
+        '{"endpoints":1.0,"format":"alert-path-store","version":3}\n' + endpoint,
+        '{"endpoints":1,"format":"alert-path-store","version":true}\n' + endpoint,
+        '{"endpoints":0,"format":"alert-path-store","paths":"0","version":2}\n',
+        header + '{"alerts":[[1,1,0]],"dst":"b","src":1}\n',
+        header + '{"alerts":[[1,1,0]],"dst":"","src":"a"}\n',
+        header + '{"alerts":[[1,1,0]],"src":"a"}\n',
+        header + '{"alerts":[],"dst":"b","src":"a"}\n',
+        header + '{"alerts":"x","dst":"b","src":"a"}\n',
+        header + '{"alerts":[[1,1]],"dst":"b","src":"a"}\n',
+        header + '{"alerts":[[1,1,0,5]],"dst":"b","src":"a"}\n',
+        header + '{"alerts":[[1.5,1,0]],"dst":"b","src":"a"}\n',
+        header + '{"alerts":[["1",1,0]],"dst":"b","src":"a"}\n',
+        header + '{"alerts":[[1,false,0]],"dst":"b","src":"a"}\n',
+        header + '{"alerts":[[1,1,0],[2,1,0]],"dst":"b","src":"a"}\n',
+    ]
+    for number, text in enumerate(malformed):
+        bad = tmp_path / f"malformed{number}.jsonl"
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(StoreError):
+            AlertStore().load(bad)
+
+
+# Two endpoint lines share the alert key (1, 0), so replaying them in key
+# order would fail on the second alert.
+DUPLICATE_KEY_SNAPSHOT = (
+    '{"endpoints":2,"format":"alert-path-store","version":3}\n'
+    '{"alerts":[[1,1,0]],"dst":"b","src":"a"}\n'
+    '{"alerts":[[1,1,0]],"dst":"c","src":"b"}\n'
+)
+
+
+def test_failed_load_leaves_store_unchanged(tmp_path):
+    store = seeded_store()
+    recompute_threat_scores(store)
+    before = (canonical_state(store), store.stats(), store.head, store.next_seq)
+    snapshot = tmp_path / "duplicate_key.jsonl"
+    snapshot.write_text(DUPLICATE_KEY_SNAPSHOT, encoding="utf-8")
+    with pytest.raises(StoreError, match="ordinal 0"):
+        store.load(snapshot)
+    assert (canonical_state(store), store.stats(), store.head, store.next_seq) == before
 
 
 def test_load_rejects_truncated_snapshot(tmp_path):

@@ -1,10 +1,15 @@
-"""Repository tooling: the benchmark's feed generators match the package's."""
+"""Repository tooling: the benchmark's feed generators match the package's,
+and the README documents every CLI command."""
 
 from __future__ import annotations
 
+import argparse
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from alertpaths.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -20,3 +25,14 @@ def test_benchmark_feeds_match_package_generators():
         timeout=120,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_readme_cli_table_matches_subcommands():
+    (commands,) = [
+        action
+        for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    documented = re.findall(r"^\| `([\w-]+)` *\|", readme, flags=re.MULTILINE)
+    assert sorted(documented) == sorted(commands.choices)
