@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from typing import Callable, Iterable, Literal
 
-from .errors import ParseError
+from .errors import OutOfOrderError, ParseError
 from .maintenance import insert_alert, reinsert_alert
 from .model import Alert
 from .store import AlertStore
@@ -97,9 +97,14 @@ def parse_eve_line(line: str) -> Alert | None:
         sid = event["alert"]["signature_id"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing field {exc}")
-    if not isinstance(sid, int):
+    if not (isinstance(source, str) and source and isinstance(dest, str) and dest):
+        raise ParseError(
+            f"src_ip and dest_ip must be non-empty strings, got {source!r} and {dest!r}"
+        )
+    # JSON true and false load as bool, which subclasses int
+    if not isinstance(sid, int) or isinstance(sid, bool):
         raise ParseError(f"signature id must be an integer, got {sid!r}")
-    return Alert(str(source), str(dest), parse_timestamp(str(timestamp)), sid)
+    return Alert(source, dest, parse_timestamp(str(timestamp)), sid)
 
 
 def parse_csv_line(line: str) -> Alert | None:
@@ -140,7 +145,8 @@ def ingest_stream(
 
     ``chronological`` sorts the batch by (time, then input order), assigns
     consecutive ordinals, and requires nothing in the store to be newer; a
-    conflict is an error. ``auto`` keeps input order and routes any alert
+    conflict raises `OutOfOrderError` naming the line, before the store
+    changes. ``auto`` keeps input order and routes any alert
     older than the store's latest time through reinsertion. Parse failures
     are recorded per line and skipped unless ``strict``.
     """
@@ -150,7 +156,7 @@ def ingest_stream(
         alerts.sort(key=lambda item: item[1].time_us)  # ties keep input order
     seq = store.next_seq
     done = 0
-    for _line_no, alert in alerts:
+    for line_no, alert in alerts:
         alert = replace(alert, seq=seq)
         seq += 1
         latest = store.latest_time_us
@@ -158,7 +164,16 @@ def ingest_stream(
             outcome = reinsert_alert(store, alert)
             report.reinserted += 1
         else:
-            outcome = insert_alert(store, alert)
+            try:
+                outcome = insert_alert(store, alert)
+            except OutOfOrderError:
+                # the batch is sorted, so only its first alert can be behind
+                # the head, and the store has not changed yet
+                raise OutOfOrderError(
+                    f"line {line_no}: alert at time {alert.time_us} is older than "
+                    f"the store's newest at {latest}; ingest late alerts with "
+                    'mode="auto" (--mode auto)'
+                ) from None
             report.inserted += 1
         report.endpoints_created += outcome.endpoints_created
         report.paths_created += outcome.paths_created

@@ -66,7 +66,10 @@ def reinsert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
     arc exactly once, so it decomposes as prefix + (source, dest) + suffix
     where the prefix ends at the source, the suffix starts at the
     destination, both were already stored (or are empty), and the two are
-    vertex-disjoint. The splice loop walks exactly those combinations.
+    vertex-disjoint. The splice loop walks exactly those combinations, the
+    bare endpoints standing in for an empty prefix or suffix. Suffixes are
+    the outer loop, in stored order, so each candidate comes after the one
+    that is its one-hop-shorter prefix, as `insert_path` requires.
     """
     source, dest = alert.source, alert.destination
     prefixes = [
@@ -91,34 +94,18 @@ def reinsert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
             sorted_keys[pair] = cached
         return cached
 
-    candidates: list[tuple[str, ...]] = []
-    if not store.has_path((source, dest)):
-        candidates.append((source, dest))
-    pre_options: list[PathRecord | None] = [*prefixes, None]
-    post_options: list[PathRecord | None] = [*suffixes, None]
-    for pre in pre_options:
-        for post in post_options:
-            if pre is None and post is None:
-                continue
-            if (
-                pre is not None
-                and post is not None
-                and not set(pre.vertices).isdisjoint(post.vertices)
-            ):
-                continue
-            left = pre.vertices if pre is not None else (source,)
-            right = post.vertices if post is not None else (dest,)
-            candidates.append(left + right)
-
+    lefts = [(left, set(left)) for left in [(source,), *(p.vertices for p in prefixes)]]
     paths_created = 0
-    for vertices in candidates:
-        if store.has_path(vertices):
-            continue
-        key_sets = [keys_for(pair) for pair in zip(vertices, vertices[1:])]
-        if not is_chronologically_feasible(key_sets, presorted=True):
-            continue
-        store.insert_path(PathRecord(vertices))
-        paths_created += 1
+    for right in [(dest,), *(p.vertices for p in suffixes)]:
+        for left, members in lefts:
+            vertices = left + right
+            if not members.isdisjoint(right) or store.has_path(vertices):
+                continue
+            key_sets = [keys_for(pair) for pair in zip(vertices, vertices[1:])]
+            if not is_chronologically_feasible(key_sets, presorted=True):
+                continue
+            store.insert_path(PathRecord(vertices))
+            paths_created += 1
     return InsertOutcome(int(created), paths_created)
 
 
@@ -127,9 +114,8 @@ def recompute_threat_scores(store: AlertStore) -> tuple[int, int]:
 
     A score is sqrt(distinct sids x alerts), as `threat_score` computes it.
     Each pair is reduced once to (alert count, sid bitmask); a path's value
-    is its one-hop-shorter prefix's combined with its last pair's, so paths
-    are visited shortest first. The stored set is prefix-closed, so the
-    prefix has always been visited.
+    is its one-hop-shorter prefix's combined with its last pair's. Paths are
+    visited in stored order, which puts every prefix first.
     """
     bits: dict[int, int] = {}
     arcs: dict[tuple[str, str], tuple[int, int]] = {}
@@ -149,7 +135,7 @@ def recompute_threat_scores(store: AlertStore) -> tuple[int, int]:
             endpoints_updated += 1
     sums: dict[tuple[str, ...], tuple[int, int]] = {}
     paths_updated = 0
-    for path in sorted(store.paths(), key=lambda p: len(p.vertices)):
+    for path in store.paths():
         vertices = path.vertices
         try:
             count, mask = arcs[vertices[-2:]]

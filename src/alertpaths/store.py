@@ -3,8 +3,10 @@
 Single-writer, in-process. The store keeps the path set and two indexes,
 by origin and by target; everything else is computed when it is read.
 Lookups by origin or target touch only the matching records, a lookup by
-both filters the origin's paths, and rankings scan every record; the
-access counters record what each call touched so tests can verify that.
+both filters the origin's paths, and rankings scan every record.
+Paths are kept prefix-first: `insert_path` accepts a path only after its
+one-hop-shorter prefix, so `paths()` and the lookups by origin yield every
+path after its prefix.
 Snapshots hold only the alert log, as line-delimited JSON in a canonical
 sort order, which makes equal stores produce byte-identical files; paths
 and scores are derived again on load.
@@ -44,18 +46,6 @@ class StoreStats:
     path_count: int
 
 
-@dataclass(slots=True)
-class AccessCounters:
-    """Records touched by lookups, for verifying index-backed complexity."""
-
-    endpoint_records: int = 0
-    path_records: int = 0
-
-    def reset(self) -> None:
-        self.endpoint_records = 0
-        self.path_records = 0
-
-
 class AlertStore:
     """Endpoint and path records plus the indexes over them."""
 
@@ -68,7 +58,6 @@ class AlertStore:
         self._max_seq = -1
         self._head: OrderKey | None = None
         self.scores_stale = False
-        self.counters = AccessCounters()
 
     # ------------------------------------------------------------------
     # endpoints
@@ -97,67 +86,53 @@ class AlertStore:
         return record, created
 
     def endpoint(self, pair: EndpointPair) -> EndpointRecord | None:
-        record = self._endpoints.get(pair)
-        if record is not None:
-            self.counters.endpoint_records += 1
-        return record
+        return self._endpoints.get(pair)
 
     def endpoints(self) -> Iterator[EndpointRecord]:
-        for record in self._endpoints.values():
-            self.counters.endpoint_records += 1
-            yield record
+        return iter(self._endpoints.values())
 
     # ------------------------------------------------------------------
     # paths
     # ------------------------------------------------------------------
 
     def insert_path(self, path: PathRecord) -> None:
-        """Index a new path. Duplicates and dangling pairs are rejected.
+        """Index a new path after its one-hop-shorter prefix.
 
-        Callers prevent duplicates with `has_path`; the check here is a
-        backstop. Endpoint records must already exist for every pair so
-        readers never see a path whose annotations are missing.
+        Duplicates are rejected; callers prevent them with `has_path`, and
+        the check here is a backstop. The last pair must have an endpoint
+        record and, beyond one hop, the prefix must be stored, so by
+        induction every pair of every stored path has its record and the
+        path set stays prefix-closed and prefix-first.
         """
         vertices = path.vertices
         if vertices in self._paths:
             raise StoreError(f"path {vertices} already stored")
-        for pair in zip(vertices, vertices[1:]):  # plain tuples hash like EndpointPair
-            if pair not in self._endpoints:
-                raise StoreError(f"path {vertices} references unknown pair {pair}")
+        last = vertices[-2:]  # a plain tuple hashes like EndpointPair
+        if last not in self._endpoints:
+            raise StoreError(f"path {vertices} references unknown pair {last}")
+        if len(vertices) > 2 and vertices[:-1] not in self._paths:
+            raise StoreError(f"path {vertices} has no stored prefix {vertices[:-1]}")
         self._paths[vertices] = path
         self._by_origin[path.origin].append(path)
         self._by_target[path.target].append(path)
         self.scores_stale = True
 
-    def get_path(self, vertices: tuple[str, ...]) -> PathRecord | None:
-        record = self._paths.get(vertices)
-        if record is not None:
-            self.counters.path_records += 1
-        return record
-
     def has_path(self, vertices: tuple[str, ...]) -> bool:
         return vertices in self._paths
 
     def paths(self) -> Iterator[PathRecord]:
-        for record in self._paths.values():
-            self.counters.path_records += 1
-            yield record
+        """Every stored path in insertion order, so each after its prefix."""
+        return iter(self._paths.values())
 
     def find_paths_ending_at(self, vertex: str) -> list[PathRecord]:
-        found = list(self._by_target.get(vertex, ()))
-        self.counters.path_records += len(found)
-        return found
+        return list(self._by_target.get(vertex, ()))
 
     def find_paths_starting_at(self, vertex: str) -> list[PathRecord]:
-        found = list(self._by_origin.get(vertex, ()))
-        self.counters.path_records += len(found)
-        return found
+        return list(self._by_origin.get(vertex, ()))
 
     def find_paths_between(self, origin: str, target: str) -> list[PathRecord]:
         """The origin's paths that end at target, in insertion order."""
-        scanned = self._by_origin.get(origin, ())
-        self.counters.path_records += len(scanned)
-        return [p for p in scanned if p.target == target]
+        return [p for p in self._by_origin.get(origin, ()) if p.target == target]
 
     # ------------------------------------------------------------------
     # ranking
@@ -171,7 +146,6 @@ class AlertStore:
         """
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
-        self.counters.endpoint_records += len(self._endpoints)
         top = heapq.nsmallest(k, self._endpoints.values(), key=lambda r: (-r.ets, r.pair))
         return top, self.scores_stale
 
@@ -179,7 +153,6 @@ class AlertStore:
         """k highest cached PTS values, ties broken by vertex sequence."""
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
-        self.counters.path_records += len(self._paths)
         top = heapq.nsmallest(k, self._paths.values(), key=lambda p: (-p.pts, p.vertices))
         return top, self.scores_stale
 

@@ -36,6 +36,23 @@ def canonical_state(store: AlertStore) -> str:
     return "\n".join(lines)
 
 
+class UnscannableDict(dict):
+    """A dict whose keyed reads work but whose scans fail the test.
+
+    Swapped in for a store's path dict, it shows that a lookup went through
+    an index instead of walking every stored path.
+    """
+
+    def _scan(self, *args):
+        raise AssertionError("scanned every stored path")
+
+    __iter__ = keys = values = items = _scan
+
+
+def forbid_path_scans(store: AlertStore) -> None:
+    store._paths = UnscannableDict(store._paths)
+
+
 @pytest.fixture
 def data_dir() -> Path:
     return DATA_DIR

@@ -107,6 +107,15 @@ def test_criterion_4_store_matches_oracle():
         assert time.monotonic() - started < 60.0
 
 
+def assert_prefix_first(store: AlertStore, seed: int) -> None:
+    """Every path comes after its one-hop-shorter prefix in `paths()`."""
+    seen: set[tuple[str, ...]] = set()
+    for path in store.paths():
+        vertices = path.vertices
+        assert len(vertices) == 2 or vertices[:-1] in seen, (seed, vertices)
+        seen.add(vertices)
+
+
 def test_criterion_5_reinsertion_equivalence(tmp_path):
     with criterion(5, "100 seeded withhold-one reinsertions byte-equal chronological"):
         full_file = tmp_path / "full.jsonl"
@@ -116,6 +125,7 @@ def test_criterion_5_reinsertion_equivalence(tmp_path):
             withheld = random.Random(seed).randrange(len(alerts))
             full = build_store(alerts)
             redone = build_store_with_reinsertion(alerts, withheld)
+            assert_prefix_first(redone, seed)
             assert canonical_state(full) == canonical_state(redone), seed
             recompute_threat_scores(full)
             recompute_threat_scores(redone)

@@ -196,6 +196,31 @@ def test_non_strict_ingest_counts_bad_lines(capsys, store_dir, tmp_path):
     assert "line 2" in err
 
 
+def test_eve_boolean_signature_id_is_a_line_error(capsys, store_dir, tmp_path):
+    # a JSON true once passed as signature id 1, and the saved store then
+    # failed to load on every later command
+    event = {
+        "timestamp": "2018-02-21T10:00:00+0000",
+        "event_type": "alert",
+        "src_ip": "a",
+        "dest_ip": "b",
+        "alert": {"signature_id": 7},
+    }
+    late = {**event, "timestamp": "2018-02-21T10:00:01+0000",
+            "alert": {"signature_id": True}}
+    feed = tmp_path / "feed.jsonl"
+    feed.write_text(json.dumps(event) + "\n" + json.dumps(late) + "\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "ingest", "--store", str(store_dir),
+                         "--input", str(feed), "--format", "eve")
+    assert code == EXIT_OK
+    assert json.loads(out)["errors"] == 1
+    assert "line 2" in err
+    code, out, _ = run(capsys, "stats", "--store", str(store_dir))
+    assert code == EXIT_OK
+    assert json.loads(out)["alerts"] == 1
+
+
 def test_store_env_var_fallback(capsys, store_dir, csv_feed, monkeypatch):
     monkeypatch.setenv("ALERTPATHS_STORE", str(store_dir))
     code, _, _ = run(capsys, "ingest", "--input", str(csv_feed), "--format", "csv")

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from alertpaths.bench import build_store
-from alertpaths.errors import ParseError, StoreError
+from alertpaths.errors import OutOfOrderError, ParseError
 from alertpaths.ingest import (
     ingest_stream,
     parse_csv_line,
@@ -114,6 +114,22 @@ def test_parse_eve_error_cases():
     )
     with pytest.raises(ParseError):
         parse_eve_line(missing_sid)
+    # each of these once ingested and then made the saved store unreadable,
+    # or named a host "None" or ""
+    good = json.loads(eve_line("a", "b", "2018-02-21T10:00:00+0000"))
+    for field, value in [
+        ("src_ip", None),
+        ("src_ip", ""),
+        ("dest_ip", None),
+        ("dest_ip", ""),
+        ("dest_ip", 10),
+        ("alert", {"signature_id": True}),
+        ("alert", {"signature_id": False}),
+        ("alert", {"signature_id": 1.0}),
+        ("alert", {"signature_id": "1"}),
+    ]:
+        with pytest.raises(ParseError):
+            parse_eve_line(json.dumps({**good, field: value}))
 
 
 def test_parse_csv_line():
@@ -205,8 +221,9 @@ def test_ingest_auto_routes_late_alerts_to_reinsertion():
 def test_ingest_chronological_fails_behind_existing_store():
     store = AlertStore()
     ingest_stream(store, ["v1,v2,5000,1"], fmt="csv")
-    with pytest.raises(StoreError):
-        ingest_stream(store, ["v9,v8,1000,1"], fmt="csv")
+    with pytest.raises(OutOfOrderError, match=r"^line 2: .*--mode auto"):
+        ingest_stream(store, ["", "v9,v8,1000,1", "v9,v7,6000,1"], fmt="csv")
+    assert store.stats().alert_count == 1
 
 
 def test_ingest_unknown_format_rejected():

@@ -248,8 +248,7 @@ def test_recompute_scores_chain():
     assert (endpoints, paths) == (2, 3)
     pair = store.endpoint(EndpointPair("v1", "v2"))
     assert pair is not None and pair.ets == pytest.approx(1.0)
-    long_path = store.get_path(("v1", "v2", "v3"))
-    assert long_path is not None
+    (long_path,) = [p for p in store.paths() if p.vertices == ("v1", "v2", "v3")]
     assert long_path.pts == pytest.approx(2.0)  # 2 ids, 2 alerts
 
 
@@ -259,8 +258,7 @@ def test_recompute_counts_diversity_once_across_pairs():
         [mk_alert("a", "b", 1, sid=9, seq=0), mk_alert("b", "c", 2, sid=9, seq=1)]
     )
     recompute_threat_scores(store)
-    path = store.get_path(("a", "b", "c"))
-    assert path is not None
+    (path,) = [p for p in store.paths() if p.vertices == ("a", "b", "c")]
     assert path.pts == pytest.approx(math.sqrt(2))
 
 

@@ -17,7 +17,7 @@ from alertpaths.query import (
 )
 from alertpaths.store import AlertStore
 
-from conftest import mk_alert
+from conftest import forbid_path_scans, mk_alert
 
 
 def divergent_store() -> AlertStore:
@@ -230,10 +230,10 @@ def test_sibling_order_best_path_first_then_label():
 
 def test_tree_build_touches_only_rooted_paths():
     store = build_store(generate_random(6, 30, seed=55))
-    rooted = len(store.find_paths_starting_at("v1"))
-    store.counters.reset()
-    build_forward_tree(store, "v1")
-    assert store.counters.path_records == rooted
+    expected = build_forward_tree(store, "v1")
+    assert expected.root.children
+    forbid_path_scans(store)
+    assert build_forward_tree(store, "v1") == expected
 
 
 def test_top_trees_ranked_dedup_roots():

@@ -14,7 +14,7 @@ from alertpaths.maintenance import insert_alert, recompute_threat_scores
 from alertpaths.model import EndpointPair, PathRecord
 from alertpaths.store import AlertStore
 
-from conftest import canonical_state, mk_alert
+from conftest import canonical_state, forbid_path_scans, mk_alert
 
 
 def seeded_store(seed: int = 3, nodes: int = 6, alerts: int = 25) -> AlertStore:
@@ -69,6 +69,19 @@ def test_insert_path_requires_endpoint_records():
         store.insert_path(PathRecord(("a", "b")))
 
 
+def test_insert_path_requires_stored_prefix():
+    store = AlertStore()
+    store.upsert_endpoint(mk_alert("a", "b", 1, seq=0))
+    store.upsert_endpoint(mk_alert("b", "c", 2, seq=1))
+    with pytest.raises(StoreError, match=r"prefix \('a', 'b'\)"):
+        store.insert_path(PathRecord(("a", "b", "c")))
+    store.insert_path(PathRecord(("a", "b")))
+    with pytest.raises(StoreError, match=r"pair \('c', 'd'\)"):
+        store.insert_path(PathRecord(("a", "b", "c", "d")))
+    store.insert_path(PathRecord(("a", "b", "c")))
+    assert [p.vertices for p in store.paths()] == [("a", "b"), ("a", "b", "c")]
+
+
 def test_find_paths_spec_shapes():
     # v1 -> v2 -> v3 chain
     store = build_store(
@@ -113,17 +126,20 @@ def test_child_symmetry_on_random_instance():
 
 
 def test_lookup_touches_only_matching_records():
+    # lookups read the origin and target indexes, never every stored path
     store = seeded_store()
-    stats = store.stats()
-    store.counters.reset()
-    ending = store.find_paths_ending_at("v1")
-    assert store.counters.path_records == len(ending)
-    # a lookup by both ends filters the origin's paths, and no others
-    scanned = len(store.find_paths_starting_at("v1"))
-    store.counters.reset()
-    store.find_paths_between("v1", "v2")
-    assert store.counters.path_records == scanned
-    assert stats.path_count > scanned
+    lookups = [
+        lambda: store.find_paths_ending_at("v1"),
+        lambda: store.find_paths_starting_at("v1"),
+        lambda: store.find_paths_between("v1", "v2"),
+    ]
+    expected = [lookup() for lookup in lookups]
+    assert all(expected)
+    forbid_path_scans(store)
+    assert [lookup() for lookup in lookups] == expected
+    assert store.has_path(expected[2][0].vertices)
+    with pytest.raises(AssertionError, match="scanned"):
+        list(store.paths())
 
 
 # ---------------------------------------------------------------------------

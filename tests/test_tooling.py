@@ -1,9 +1,10 @@
 """Repository tooling: the benchmark's feed generators match the package's,
-and the README documents every CLI command."""
+the README documents every CLI command, and its library example runs."""
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import subprocess
 import sys
@@ -36,3 +37,22 @@ def test_readme_cli_table_matches_subcommands():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     documented = re.findall(r"^\| `([\w-]+)` *\|", readme, flags=re.MULTILINE)
     assert sorted(documented) == sorted(commands.choices)
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"^```python\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    assert example is not None
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", example.group(1)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    # the two outputs the example's comments promise
+    assert "path_count=6" in result.stdout
+    assert "('ws-7', 'jump-1', 'files-2', 'db-9') 3.0" in result.stdout
