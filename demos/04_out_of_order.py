@@ -2,11 +2,11 @@
 Catching up on late-arriving alerts
 ===================================
 
-Sensors deliver out of order.  Reinsertion splices a late alert between
-every stored prefix that ends at its source and every stored suffix that
-starts at its destination, keeping only the chronologically feasible
-combinations -- and lands on the exact store a sorted feed would have
-produced.
+Sensors deliver out of order.  Reinsertion joins a late alert's arc to the
+stored prefixes that end at its source and the stored suffixes that start
+at its destination, taking only the combinations that no other alert on
+the same pair already joined -- and lands on the exact store a sorted feed
+would have produced.
 """
 
 from __future__ import annotations

@@ -5,17 +5,21 @@ acyclic, chronologically feasible vertex sequences over the alert graph,
 each stored once. In-order alerts take the cheap route (`insert_alert`):
 the new alert is the latest element of the (time, seq) order, so every
 lengthened path is feasible by construction. Late alerts go through
-`reinsert_alert`, which splices the new arc between stored prefix and
-suffix paths and re-checks feasibility explicitly.
+`reinsert_alert`. A late arc joins a stored prefix and suffix into a new
+path only where no other alert on its pair could join them, so it picks
+those prefixes and suffixes by their greedy keys and joins them without
+checking any combination against the store; its work follows the paths it
+creates.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import OutOfOrderError, StoreError
-from .model import Alert, OrderKey, PathRecord, is_chronologically_feasible
+from .model import Alert, OrderKey, PathRecord
 from .store import AlertStore
 
 
@@ -60,53 +64,113 @@ def insert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
 
 
 def reinsert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
-    """Fold a late alert into the store, preserving path completeness.
+    """Fold a late alert into the store, creating only the paths it unlocks.
 
-    Every path that is newly feasible because of this alert contains its
-    arc exactly once, so it decomposes as prefix + (source, dest) + suffix
-    where the prefix ends at the source, the suffix starts at the
-    destination, both were already stored (or are empty), and the two are
-    vertex-disjoint. The splice loop walks exactly those combinations, the
-    bare endpoints standing in for an empty prefix or suffix. Suffixes are
-    the outer loop, in stored order, so each candidate comes after the one
-    that is its one-hop-shorter prefix, as `insert_path` requires.
+    A path that is newly feasible because of the alert, with key k on the
+    pair (s, d), contains that arc once: it is L + R, where L is a stored
+    path ending at s (or the bare ``(s,)``) and R a stored path starting at
+    d (or ``(d,)``), the two vertex-disjoint. With k_prev and k_next the
+    neighbouring old keys on (s, d), e(L) the greedy earliest-completion
+    key of L and l(R) its mirror, the latest feasible start key of R, the
+    combination is new exactly when k_prev < e(L) < k and k < l(R) < k_next:
+    k is then the only key of (s, d) that fits between the two. A bare end
+    qualifies when its neighbouring key does not exist. So every
+    vertex-disjoint combination of qualifying ends is new, and none is
+    checked against the store.
+
+    Each end is first pruned in O(1) on the keys of the pair next to the
+    arc, and suffixes are read only when some prefix qualifies. e and l are
+    memoized through the one-hop-shorter prefix and suffix, which the store
+    holds because its path set is prefix- and suffix-closed. New paths are
+    inserted shortest first, so each comes after its one-hop-shorter
+    prefix, which is stored or new and shorter, as `insert_path` requires.
     """
     source, dest = alert.source, alert.destination
-    prefixes = [
-        p for p in store.find_paths_ending_at(source) if dest not in p.vertices
-    ]
-    suffixes = [
-        p for p in store.find_paths_starting_at(dest) if source not in p.vertices
-    ]
+    record = store.endpoint(alert.pair)
+    old = [] if record is None else sorted(a.key for a in record.alerts)
     _, created = store.upsert_endpoint(alert)
     if source == dest:
         return InsertOutcome(int(created), 0)
 
-    sorted_keys: dict[tuple[str, str], list[OrderKey]] = {}
+    key = alert.key
+    at = bisect_left(old, key)
+    # keys are unique, so k_prev < e(L) < k and k < l(R) < k_next hold strictly;
+    # an infinite one-element tuple stands in for a missing neighbour
+    lo = old[at - 1] if at else (-math.inf,)
+    hi = old[at] if at < len(old) else (math.inf,)
 
-    def keys_for(pair: tuple[str, str]) -> list[OrderKey]:
-        cached = sorted_keys.get(pair)
-        if cached is None:
-            found = store.endpoint(pair)
-            if found is None:
+    sorted_keys: dict[tuple[str, ...], list[OrderKey]] = {}
+
+    def keys_of(pair: tuple[str, ...]) -> list[OrderKey]:
+        found = sorted_keys.get(pair)
+        if found is None:
+            endpoint = store.endpoint(pair)
+            if endpoint is None:
                 raise StoreError(f"stored path references unknown pair {pair}")
-            cached = sorted(a.key for a in found.alerts)
-            sorted_keys[pair] = cached
-        return cached
+            found = sorted_keys[pair] = sorted(a.key for a in endpoint.alerts)
+        return found
 
-    lefts = [(left, set(left)) for left in [(source,), *(p.vertices for p in prefixes)]]
-    paths_created = 0
-    for right in [(dest,), *(p.vertices for p in suffixes)]:
-        for left, members in lefts:
-            vertices = left + right
-            if not members.isdisjoint(right) or store.has_path(vertices):
-                continue
-            key_sets = [keys_for(pair) for pair in zip(vertices, vertices[1:])]
-            if not is_chronologically_feasible(key_sets, presorted=True):
-                continue
-            store.insert_path(PathRecord(vertices))
-            paths_created += 1
-    return InsertOutcome(int(created), paths_created)
+    earliest: dict[tuple[str, ...], OrderKey] = {}
+
+    def earliest_of(vertices: tuple[str, ...]) -> OrderKey:
+        pending = []
+        while len(vertices) > 2 and vertices not in earliest:
+            pending.append(vertices)
+            vertices = vertices[:-1]
+        found = earliest.get(vertices)
+        if found is None:
+            found = earliest[vertices] = keys_of(vertices)[0]
+        for longer in reversed(pending):
+            keys = keys_of(longer[-2:])
+            found = earliest[longer] = keys[bisect_right(keys, found)]
+        return found
+
+    lefts = [(source,)] if at == 0 else []
+    for path in store.find_paths_ending_at(source):
+        vertices = path.vertices
+        keys = keys_of(vertices[-2:])
+        if keys[-1] < lo or keys[0] > key:
+            continue
+        if lo < earliest_of(vertices) < key and dest not in vertices:
+            lefts.append(vertices)
+    if not lefts:
+        return InsertOutcome(int(created), 0)
+
+    latest: dict[tuple[str, ...], OrderKey] = {}
+
+    def latest_of(vertices: tuple[str, ...]) -> OrderKey:
+        pending = []
+        while len(vertices) > 2 and vertices not in latest:
+            pending.append(vertices)
+            vertices = vertices[1:]
+        found = latest.get(vertices)
+        if found is None:
+            found = latest[vertices] = keys_of(vertices)[-1]
+        for longer in reversed(pending):
+            keys = keys_of(longer[:2])
+            found = latest[longer] = keys[bisect_left(keys, found) - 1]
+        return found
+
+    rights = [(dest,)] if at == len(old) else []
+    for path in store.find_paths_starting_at(dest):
+        vertices = path.vertices
+        keys = keys_of(vertices[:2])
+        if keys[0] > hi or keys[-1] < key:
+            continue
+        if key < latest_of(vertices) < hi and source not in vertices:
+            rights.append(vertices)
+
+    members = [(left, set(left)) for left in lefts]
+    created_paths = [
+        left + right
+        for right in rights
+        for left, vertex_set in members
+        if vertex_set.isdisjoint(right)
+    ]
+    created_paths.sort(key=len)  # stable: equal lengths keep the loop order
+    for vertices in created_paths:
+        store.insert_path(PathRecord(vertices))
+    return InsertOutcome(int(created), len(created_paths))
 
 
 def recompute_threat_scores(store: AlertStore) -> tuple[int, int]:

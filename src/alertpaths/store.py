@@ -98,8 +98,9 @@ class AlertStore:
     def insert_path(self, path: PathRecord) -> None:
         """Index a new path after its one-hop-shorter prefix.
 
-        Duplicates are rejected; callers prevent them with `has_path`, and
-        the check here is a backstop. The last pair must have an endpoint
+        Duplicates are rejected; `insert_alert` prevents them with
+        `has_path` and `reinsert_alert` by its key window, and the check
+        here is a backstop. The last pair must have an endpoint
         record and, beyond one hop, the prefix must be stored, so by
         induction every pair of every stored path has its record and the
         path set stays prefix-closed and prefix-first.

@@ -36,6 +36,15 @@ def canonical_state(store: AlertStore) -> str:
     return "\n".join(lines)
 
 
+def assert_prefix_first(store: AlertStore, label: object = None) -> None:
+    """Every path comes after its one-hop-shorter prefix in `paths()`."""
+    seen: set[tuple[str, ...]] = set()
+    for path in store.paths():
+        vertices = path.vertices
+        assert len(vertices) == 2 or vertices[:-1] in seen, (label, vertices)
+        seen.add(vertices)
+
+
 class UnscannableDict(dict):
     """A dict whose keyed reads work but whose scans fail the test.
 

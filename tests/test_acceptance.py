@@ -25,7 +25,7 @@ from alertpaths.query import build_backward_tree, build_forward_tree
 from alertpaths.render import tree_to_dot
 from alertpaths.store import AlertStore
 
-from conftest import canonical_state, mk_alert
+from conftest import assert_prefix_first, canonical_state, mk_alert
 
 
 @contextlib.contextmanager
@@ -105,15 +105,6 @@ def test_criterion_4_store_matches_oracle():
             stored = {p.vertices for p in build_store(alerts).paths()}
             assert stored == brute_force_paths(alerts), seed
         assert time.monotonic() - started < 60.0
-
-
-def assert_prefix_first(store: AlertStore, seed: int) -> None:
-    """Every path comes after its one-hop-shorter prefix in `paths()`."""
-    seen: set[tuple[str, ...]] = set()
-    for path in store.paths():
-        vertices = path.vertices
-        assert len(vertices) == 2 or vertices[:-1] in seen, (seed, vertices)
-        seen.add(vertices)
 
 
 def test_criterion_5_reinsertion_equivalence(tmp_path):
@@ -202,6 +193,30 @@ def test_criterion_8_ingest_throughput():
         assert report.error_count == 0
         assert store.stats().alert_count == 10_000
         assert elapsed < 60.0
+
+
+def delay(alerts: list, share: float, max_positions: int, seed: int) -> list:
+    """A seeded ``share`` of the alerts, each moved 1..max_positions later."""
+    rng = random.Random(seed)
+    late = set(rng.sample(range(len(alerts)), round(len(alerts) * share)))
+    slots = [
+        (i + rng.randint(1, max_positions) + 0.5 if i in late else i, i)
+        for i in range(len(alerts))
+    ]
+    return [alerts[i] for _, i in sorted(slots)]
+
+
+def test_late_feed_auto_ingest_matches_sorted_build():
+    # 2% of the 10,000-alert fan-out feed arrives up to 300 alerts late;
+    # both builds number the alerts in arrival order, so ties order alike
+    alerts = delay(generate_fanout_stream(1500, 10_000, 3, seed=8), 0.02, 300, seed=8)
+    lines = [f"{a.source},{a.destination},{a.time_us},{a.sid}" for a in alerts]
+    auto, chronological = AlertStore(), AlertStore()
+    report = ingest_stream(auto, lines, fmt="csv", mode="auto")
+    ingest_stream(chronological, lines, fmt="csv")
+    assert report.reinserted == 200
+    assert {p.vertices for p in auto.paths()} == {p.vertices for p in chronological.paths()}
+    assert_prefix_first(auto)
 
 
 def test_criterion_9_byte_determinism(tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -24,7 +25,7 @@ from alertpaths.maintenance import (
 from alertpaths.model import Alert, EndpointPair
 from alertpaths.store import AlertStore
 
-from conftest import mk_alert
+from conftest import assert_prefix_first, canonical_state, mk_alert
 
 
 def stored_vertex_sets(store: AlertStore) -> set[tuple[str, ...]]:
@@ -235,6 +236,102 @@ def test_reinsertion_equivalence_on_seeded_instances():
         full = build_store(alerts)
         redone = build_store_with_reinsertion(alerts, rng.randrange(len(alerts)))
         assert stored_vertex_sets(redone) == stored_vertex_sets(full), seed
+
+
+def test_multi_late_reinsertion_matches_oracle():
+    # withhold 1-6 alerts, then reinsert them in a seeded random order: each
+    # splice sees a store that already holds other late alerts
+    for seed in range(400):
+        rng = random.Random(seed)
+        alerts = generate_random(rng.randint(3, 8), rng.randint(4, 50), seed=500 + seed)
+        withheld = rng.sample(range(len(alerts)), min(len(alerts), rng.randint(1, 6)))
+        store = build_store(a for i, a in enumerate(alerts) if i not in withheld)
+        for index in withheld:
+            reinsert_alert(store, alerts[index])
+            assert_prefix_first(store, seed)
+        assert stored_vertex_sets(store) == brute_force_paths(alerts), seed
+
+
+def _forbidden(*args):
+    raise AssertionError("reinsert_alert made a call its key window rules out")
+
+
+def reinsert_late(early: list[Alert], late: Alert) -> tuple[AlertStore, int, AlertStore]:
+    """Reinsert ``late`` into a chronological build of ``early``; returns the
+    store, the paths created, and a chronological build of every alert."""
+    store = build_store(early)
+    store.has_path = _forbidden  # every combination the window admits is new
+    outcome = reinsert_alert(store, late)
+    return store, outcome.paths_created, build_store(sorted([*early, late], key=lambda a: a.key))
+
+
+def test_reinsert_window_new_pair():
+    # no old key on (v2, v3): each prefix completing before t=3 and each
+    # suffix starting after it qualifies, the bare ends too, and every pair
+    # of them joins unless they share a vertex (v1, in 2 of the 12)
+    early = [
+        mk_alert("v0", "v1", 1),
+        mk_alert("v1", "v2", 2),
+        mk_alert("v3", "v4", 5),
+        mk_alert("v4", "v5", 6),
+        mk_alert("v4", "v1", 7),
+    ]
+    store, created, full = reinsert_late(early, mk_alert("v2", "v3", 3))
+    assert (stored_vertex_sets(store), created) == (stored_vertex_sets(full), 10)
+
+
+def test_reinsert_window_older_than_every_old_key():
+    # (v2, v3) already has t=6, so the bare (v2,) and both prefixes qualify;
+    # only the suffix whose latest start lies in (3, 6) does
+    early = [
+        mk_alert("v0", "v1", 1),
+        mk_alert("v1", "v2", 2),
+        mk_alert("v3", "v4", 4),
+        mk_alert("v4", "v5", 5),
+        mk_alert("v2", "v3", 6),
+        mk_alert("v3", "v4", 7),
+    ]
+    store, created, full = reinsert_late(early, mk_alert("v2", "v3", 3))
+    assert (stored_vertex_sets(store), created) == (stored_vertex_sets(full), 3)
+
+
+def test_reinsert_window_newer_than_every_old_key():
+    # (v2, v3) already has t=2, so the bare (v3,) and every suffix qualify;
+    # only prefixes that complete in (2, 5) do
+    early = [
+        mk_alert("v1", "v2", 1),
+        mk_alert("v2", "v3", 2),
+        mk_alert("v0", "v1", 3),
+        mk_alert("v1", "v2", 4),
+        mk_alert("v3", "v4", 6),
+        mk_alert("v3", "v4", 9),
+        mk_alert("v5", "v6", 10),
+    ]
+    store, created, full = reinsert_late(early, mk_alert("v2", "v3", 5))
+    assert (stored_vertex_sets(store), created) == (stored_vertex_sets(full), 2)
+
+
+def test_reinsert_ahead_of_head_equals_insert():
+    early = generate_random(6, 30, seed=41)
+    head = max(a.time_us for a in early)
+    repeat, fresh = early[3], Alert("v1", "v9", head + 1, 1, seq=31)
+    for alert in (replace(repeat, time_us=head + 1, seq=30), fresh):
+        inserted, reinserted = build_store(early), build_store(early)
+        insert_alert(inserted, alert)
+        reinsert_alert(reinserted, alert)
+        assert canonical_state(reinserted) == canonical_state(inserted), alert
+
+
+def test_late_repeat_that_unlocks_nothing_reads_no_suffix(monkeypatch):
+    # the repeat lands after its arc's own key, so no prefix can complete
+    # between the two and the suffix list is never read
+    store = build_store(generate_chain(30))
+    before = store.stats()
+    monkeypatch.setattr(store, "find_paths_starting_at", _forbidden)
+    arc = generate_chain(30)[15]
+    outcome = reinsert_alert(store, replace(arc, time_us=arc.time_us + 500, seq=30))
+    assert outcome.paths_created == 0
+    assert store.stats().path_count == before.path_count
 
 
 # ---------------------------------------------------------------------------
