@@ -17,7 +17,6 @@ from alertpaths import (
     build_backward_tree,
     build_forward_tree,
     insert_alert,
-    recompute_threat_scores,
     tree_to_dot,
     tree_to_structured,
 )
@@ -31,8 +30,8 @@ for alert in [
     Alert("a", "b", 5, sid=105, seq=4),
 ]:
     insert_alert(store, alert)
-recompute_threat_scores(store)
 
+# The tree builders score the store themselves when it has changed.
 forward = build_forward_tree(store, "a")
 
 

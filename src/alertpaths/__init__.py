@@ -14,12 +14,7 @@ from .ingest import (
     parse_eve_line,
     parse_timestamp,
 )
-from .maintenance import (
-    InsertOutcome,
-    insert_alert,
-    recompute_threat_scores,
-    reinsert_alert,
-)
+from .maintenance import InsertOutcome, insert_alert, reinsert_alert
 from .model import (
     Alert,
     AlertTree,
@@ -45,7 +40,7 @@ from .render import (
     tree_to_dot,
     tree_to_structured,
 )
-from .store import AlertStore, StoreStats
+from .store import AlertStore, StoreStats, recompute_threat_scores
 
 __version__ = "0.1.0"
 

@@ -151,6 +151,13 @@ def _open_store(directory: Path, must_exist: bool) -> AlertStore:
     return store
 
 
+def _read_store(args: argparse.Namespace) -> AlertStore:
+    """The store of a read-only command, loaded under a shared lock."""
+    directory = _store_dir(args)
+    with _locked(directory, exclusive=False):
+        return _open_store(directory, must_exist=True)
+
+
 def _save_store(store: AlertStore, directory: Path) -> None:
     store.snapshot(directory / STORE_FILENAME)
 
@@ -181,9 +188,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_paths(args: argparse.Namespace) -> int:
-    directory = _store_dir(args)
-    with _locked(directory, exclusive=False):
-        store = _open_store(directory, must_exist=True)
+    store = _read_store(args)
     found = retrieve_paths(store, args.origin, args.target)
     if args.top is not None:
         if args.top < 0:
@@ -194,9 +199,7 @@ def _cmd_paths(args: argparse.Namespace) -> int:
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
-    directory = _store_dir(args)
-    with _locked(directory, exclusive=False):
-        store = _open_store(directory, must_exist=True)
+    store = _read_store(args)
     build = build_forward_tree if args.direction == "forward" else build_backward_tree
     tree = build(store, args.root)
     wrote = False
@@ -212,9 +215,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    directory = _store_dir(args)
-    with _locked(directory, exclusive=False):
-        store = _open_store(directory, must_exist=True)
+    store = _read_store(args)
     if args.what == "endpoints":
         records, _ = store.top_endpoints_by_ets(args.k)
         for record in records:
@@ -237,9 +238,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    directory = _store_dir(args)
-    with _locked(directory, exclusive=False):
-        store = _open_store(directory, must_exist=True)
+    store = _read_store(args)
     stats = store.stats()
     print(
         json.dumps(
@@ -256,9 +255,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_snapshot(args: argparse.Namespace) -> int:
-    directory = _store_dir(args)
-    with _locked(directory, exclusive=False):
-        store = _open_store(directory, must_exist=True)
+    store = _read_store(args)
     store.snapshot(args.output)
     print(json.dumps({"written": str(args.output)}, sort_keys=True))
     return EXIT_OK

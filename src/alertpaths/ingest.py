@@ -147,9 +147,12 @@ def ingest_stream(
     consecutive ordinals, and requires nothing in the store to be newer; a
     conflict raises `OutOfOrderError` naming the line, before the store
     changes. ``auto`` keeps input order and routes any alert
-    older than the store's latest time through reinsertion. Parse failures
-    are recorded per line and skipped unless ``strict``.
+    older than the store's latest time through reinsertion. An unknown
+    ``fmt`` or ``mode`` raises `ValueError` before any line is read. Parse
+    failures are recorded per line and skipped unless ``strict``.
     """
+    if mode not in ("chronological", "auto"):
+        raise ValueError(f"mode must be 'chronological' or 'auto', got {mode!r}")
     report = IngestReport()
     alerts = _parse_all(lines, fmt, strict, report)
     if mode == "chronological":

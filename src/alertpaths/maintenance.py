@@ -1,4 +1,4 @@
-"""Streaming updates: insert, reinsert, and score recomputation.
+"""Streaming updates: insert and reinsert.
 
 The inserter maintains the invariant that the store holds exactly the
 acyclic, chronologically feasible vertex sequences over the alert graph,
@@ -9,7 +9,8 @@ lengthened path is feasible by construction. Late alerts go through
 path only where no other alert on its pair could join them, so it picks
 those prefixes and suffixes by their greedy keys and joins them without
 checking any combination against the store; its work follows the paths it
-creates.
+creates. Neither scores anything: each mutation marks the store's cached
+scores stale, and the store refreshes them when they are next read.
 """
 
 from __future__ import annotations
@@ -171,48 +172,3 @@ def reinsert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
     for vertices in created_paths:
         store.insert_path(PathRecord(vertices))
     return InsertOutcome(int(created), len(created_paths))
-
-
-def recompute_threat_scores(store: AlertStore) -> tuple[int, int]:
-    """Refresh every cached ETS and PTS; returns counts of changed records.
-
-    A score is sqrt(distinct sids x alerts), as `threat_score` computes it.
-    Each pair is reduced once to (alert count, sid bitmask); a path's value
-    is its one-hop-shorter prefix's combined with its last pair's. Paths are
-    visited in stored order, which puts every prefix first.
-    """
-    bits: dict[int, int] = {}
-    arcs: dict[tuple[str, str], tuple[int, int]] = {}
-    endpoints_updated = 0
-    for record in store.endpoints():
-        mask = 0
-        for alert in record.alerts:
-            bit = bits.get(alert.sid)
-            if bit is None:
-                bit = bits[alert.sid] = 1 << len(bits)
-            mask |= bit
-        count = len(record.alerts)
-        arcs[record.pair] = (count, mask)
-        score = math.sqrt(mask.bit_count() * count)
-        if score != record.ets:
-            record.ets = score
-            endpoints_updated += 1
-    sums: dict[tuple[str, ...], tuple[int, int]] = {}
-    paths_updated = 0
-    for path in store.paths():
-        vertices = path.vertices
-        try:
-            count, mask = arcs[vertices[-2:]]
-            if len(vertices) > 2:
-                prefix_count, prefix_mask = sums[vertices[:-1]]
-                count += prefix_count
-                mask |= prefix_mask
-        except KeyError as exc:
-            raise StoreError(f"path {vertices} lacks pair or prefix {exc.args[0]}") from None
-        sums[vertices] = (count, mask)
-        score = math.sqrt(mask.bit_count() * count)
-        if score != path.pts:
-            path.pts = score
-            paths_updated += 1
-    store.scores_stale = False
-    return endpoints_updated, paths_updated

@@ -53,8 +53,9 @@ class Alert:
 class EndpointRecord:
     """A communicating pair plus every alert observed on it.
 
-    ``ets`` is a cached score; it is only trustworthy after the most recent
-    recompute pass (the store tracks staleness).
+    ``ets`` is a cached score. The store's readers refresh it when a
+    mutation has made it stale; code that reads ``AlertStore.endpoints()``
+    directly calls ``recompute_threat_scores`` first.
     """
 
     pair: EndpointPair
@@ -66,7 +67,9 @@ class EndpointRecord:
 class PathRecord:
     """An acyclic, chronologically feasible walk through the alert graph.
 
-    ``pts`` is a cached score, same staleness caveat as ``ets``.
+    ``pts`` is a cached score. The store's readers refresh it when a
+    mutation has made it stale; code that reads ``AlertStore.paths()``
+    directly calls ``recompute_threat_scores`` first.
     """
 
     vertices: tuple[str, ...]

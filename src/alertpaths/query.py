@@ -5,28 +5,23 @@ path with a given origin; a backward tree gathers every path with a given
 target and consumes the sequences reversed, so deeper nodes are further
 back along the attack. A label reached through two different branches
 becomes two distinct nodes, which keeps trees cycle-free even though the
-underlying graph is not.
+underlying graph is not. Every function here refreshes stale scores
+before it reads one.
 """
 
 from __future__ import annotations
 
 from typing import Literal
 
-from .model import (
-    AlertTree,
-    EndpointPair,
-    PathRecord,
-    TreeNode,
-    normalize_color,
-    threat_score,
-)
-from .store import AlertStore
+from .model import AlertTree, EndpointPair, PathRecord, TreeNode, normalize_color
+from .store import AlertStore, recompute_threat_scores
 
 Direction = Literal["forward", "backward"]
 
 
 def retrieve_paths(store: AlertStore, origin: str, target: str) -> list[PathRecord]:
     """Stored paths from origin to target, highest PTS first, ties by vertices."""
+    recompute_threat_scores(store)
     found = store.find_paths_between(origin, target)
     return sorted(found, key=lambda p: (-p.pts, p.vertices))
 
@@ -44,12 +39,14 @@ def build_backward_tree(store: AlertStore, root: str) -> AlertTree:
 def top_trees(store: AlertStore, k: int, direction: Direction = "forward") -> list[AlertTree]:
     """Trees rooted at the k distinct roots of the highest-PTS paths.
 
-    Roots are ranked by the best cached PTS among their paths, ties broken
-    by label. Callers should recompute scores first; a stale cache ranks by
-    stale values.
+    Roots are ranked by the best PTS among their paths, ties broken by
+    label.
     """
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
+    recompute_threat_scores(store)
     best: dict[str, float] = {}
     for path in store.paths():
         root = path.origin if direction == "forward" else path.target
@@ -66,6 +63,7 @@ def top_trees(store: AlertStore, k: int, direction: Direction = "forward") -> li
 
 
 def _build_tree(store: AlertStore, root: str, direction: Direction) -> AlertTree:
+    recompute_threat_scores(store)
     if direction == "forward":
         paths = store.find_paths_starting_at(root)
         sequences = [p.vertices for p in paths]
@@ -95,26 +93,15 @@ def _build_tree(store: AlertStore, root: str, direction: Direction) -> AlertTree
 
 
 def _arc_ets(store: AlertStore, parent: str, child: str, direction: Direction) -> float:
-    if direction == "forward":
-        pair = EndpointPair(parent, child)
-    else:
-        pair = EndpointPair(child, parent)
-    record = store.endpoint(pair)
-    if record is None:
-        # insert_path guarantees annotations exist for every stored pair
-        raise AssertionError(f"stored path references unknown pair {pair}")
-    return threat_score(record.alerts)
+    # scoring raised StoreError already if a stored path's pair were missing
+    pair = (parent, child) if direction == "forward" else (child, parent)
+    return store.endpoint(EndpointPair(*pair)).ets
 
 
 def _colorize(tree: AlertTree) -> None:
     """Root stays black; everything else scales black-to-red against the max."""
-    nodes = tree.nodes()
-    scores = [n.ets for n in nodes if n.ets is not None]
-    if not scores:
-        tree.root.color = 0x000000
-        return
-    max_ets = max(scores)
     tree.root.color = 0x000000
-    for node in nodes:
-        if node.ets is not None:
-            node.color = normalize_color(node.ets, max_ets)
+    scored = [node for node in tree.nodes() if node.ets is not None]
+    max_ets = max((node.ets for node in scored), default=0.0)
+    for node in scored:
+        node.color = normalize_color(node.ets, max_ets)

@@ -12,7 +12,7 @@ import json
 from typing import Iterator
 
 from .model import AlertTree, PathRecord, TreeNode
-from .store import AlertStore
+from .store import AlertStore, recompute_threat_scores
 
 
 def format_score(value: float) -> str:
@@ -131,9 +131,10 @@ def _node_from_obj(obj: dict) -> TreeNode:
 def paths_to_table(paths: list[PathRecord], store: AlertStore) -> str:
     """Plain-text table of paths: vertices, PTS, alert count per pair.
 
-    The store supplies the per-pair counts; an empty path list still yields
-    the header row.
+    The store supplies the per-pair counts and refreshes its stale scores
+    first; an empty path list still yields the header row.
     """
+    recompute_threat_scores(store)
     header = ("path", "pts", "alerts_per_pair")
     rows: list[tuple[str, str, str]] = []
     for path in paths:

@@ -3,13 +3,16 @@
 Single-writer, in-process. The store keeps the path set and two indexes,
 by origin and by target; everything else is computed when it is read.
 Lookups by origin or target touch only the matching records, a lookup by
-both filters the origin's paths, and rankings scan every record.
+both filters the origin's paths, and rankings scan every record. Scores
+are cached on the records and marked stale by every mutation; each reader
+of a score first calls `recompute_threat_scores`, which refreshes them
+only when they are stale. No other module assigns a score.
 Paths are kept prefix-first: `insert_path` accepts a path only after its
 one-hop-shorter prefix, so `paths()` and the lookups by origin yield every
 path after its prefix.
 Snapshots hold only the alert log, as line-delimited JSON in a canonical
 sort order, which makes equal stores produce byte-identical files; paths
-and scores are derived again on load.
+are derived again on load, and scores on the first read after it.
 
 Concurrency contract: one writer at a time, readers see a consistent store
 only between mutating calls. The CLI enforces this across processes with
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import os
 from collections import defaultdict
 from dataclasses import dataclass
@@ -140,20 +144,24 @@ class AlertStore:
     # ------------------------------------------------------------------
 
     def top_endpoints_by_ets(self, k: int) -> tuple[list[EndpointRecord], bool]:
-        """k highest cached ETS values, ties broken by pair.
+        """k highest ETS values, ties broken by pair.
 
-        The second element reports whether cached scores are stale. Each
-        call selects from every record with a k-bounded heap.
+        Scores are refreshed first if stale, so the second element, the
+        staleness flag, is always False. Each call selects from every
+        record with a k-bounded heap.
         """
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
+        recompute_threat_scores(self)
         top = heapq.nsmallest(k, self._endpoints.values(), key=lambda r: (-r.ets, r.pair))
         return top, self.scores_stale
 
     def top_paths_by_pts(self, k: int) -> tuple[list[PathRecord], bool]:
-        """k highest cached PTS values, ties broken by vertex sequence."""
+        """k highest PTS values, ties broken by vertex sequence; fresh like
+        `top_endpoints_by_ets`."""
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
+        recompute_threat_scores(self)
         top = heapq.nsmallest(k, self._paths.values(), key=lambda p: (-p.pts, p.vertices))
         return top, self.scores_stale
 
@@ -233,11 +241,11 @@ class AlertStore:
         The file is outside input: every line is validated, and ordinals
         must be unique across it, before the store is touched, so a bad
         file leaves the store as it was. The alerts are then replayed in
-        (time, seq) order and scored, so every path and score is derived,
-        never read from the file.
+        (time, seq) order, so every path is derived, never read from the
+        file; scores are computed by the first read that needs them.
         """
         # maintenance imports this module, so importing it at the top would be circular
-        from .maintenance import insert_alert, recompute_threat_scores
+        from .maintenance import insert_alert
 
         source = Path(source)
         try:
@@ -297,7 +305,54 @@ class AlertStore:
         alerts.sort(key=lambda a: a.key)
         for alert in alerts:
             insert_alert(self, alert)
-        recompute_threat_scores(self)
+
+
+def recompute_threat_scores(store: AlertStore) -> tuple[int, int]:
+    """Refresh every cached ETS and PTS if any is stale; returns counts of
+    changed records, (0, 0) at once when none is stale.
+
+    A score is sqrt(distinct sids x alerts), as `threat_score` computes it.
+    Each pair is reduced once to (alert count, sid bitmask); a path's value
+    is its one-hop-shorter prefix's combined with its last pair's. Paths are
+    visited in stored order, which puts every prefix first.
+    """
+    if not store.scores_stale:
+        return 0, 0
+    bits: dict[int, int] = {}
+    arcs: dict[tuple[str, str], tuple[int, int]] = {}
+    endpoints_updated = 0
+    for record in store.endpoints():
+        mask = 0
+        for alert in record.alerts:
+            bit = bits.get(alert.sid)
+            if bit is None:
+                bit = bits[alert.sid] = 1 << len(bits)
+            mask |= bit
+        count = len(record.alerts)
+        arcs[record.pair] = (count, mask)
+        score = math.sqrt(mask.bit_count() * count)
+        if score != record.ets:
+            record.ets = score
+            endpoints_updated += 1
+    sums: dict[tuple[str, ...], tuple[int, int]] = {}
+    paths_updated = 0
+    for path in store.paths():
+        vertices = path.vertices
+        try:
+            count, mask = arcs[vertices[-2:]]
+            if len(vertices) > 2:
+                prefix_count, prefix_mask = sums[vertices[:-1]]
+                count += prefix_count
+                mask |= prefix_mask
+        except KeyError as exc:
+            raise StoreError(f"path {vertices} lacks pair or prefix {exc.args[0]}") from None
+        sums[vertices] = (count, mask)
+        score = math.sqrt(mask.bit_count() * count)
+        if score != path.pts:
+            path.pts = score
+            paths_updated += 1
+    store.scores_stale = False
+    return endpoints_updated, paths_updated
 
 
 def _dump(obj: dict) -> str:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from alertpaths.model import Alert
-from alertpaths.store import AlertStore
+from alertpaths.store import AlertStore, recompute_threat_scores
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -25,8 +25,10 @@ def canonical_state(store: AlertStore) -> str:
     sorted alert keys, sids and ETS, then each path with its PTS.
 
     Snapshots hold only alerts, so comparing this dump is what shows that
-    two stores derived the same paths and scores.
+    two stores derived the same paths and scores. It reads the cached
+    scores directly, so it refreshes them first, as every store reader does.
     """
+    recompute_threat_scores(store)
     lines = []
     for record in sorted(store.endpoints(), key=lambda r: r.pair):
         alerts = sorted([a.time_us, a.seq, a.sid] for a in record.alerts)

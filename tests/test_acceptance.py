@@ -19,11 +19,11 @@ from alertpaths.bench import (
     generate_random,
 )
 from alertpaths.ingest import ingest_stream
-from alertpaths.maintenance import insert_alert, recompute_threat_scores
+from alertpaths.maintenance import insert_alert
 from alertpaths.model import EndpointPair, EndpointRecord, normalize_color, threat_score
 from alertpaths.query import build_backward_tree, build_forward_tree
 from alertpaths.render import tree_to_dot
-from alertpaths.store import AlertStore
+from alertpaths.store import AlertStore, recompute_threat_scores
 
 from conftest import assert_prefix_first, canonical_state, mk_alert
 

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from alertpaths import maintenance, query, render
+from alertpaths import store as store_module
 from alertpaths.cli import EXIT_OK, EXIT_PARSE, EXIT_STORE, EXIT_USAGE, main
 
 
@@ -64,7 +66,7 @@ def test_stats_roundtrip(capsys, store_dir, csv_feed):
 
 
 def test_score_then_paths_without_warning(capsys, store_dir, csv_feed):
-    # load rescores the replayed alerts, so no separate step is needed
+    # the first read that needs scores computes them, so no separate step is needed
     ingest_fixture(capsys, store_dir, csv_feed)
     code, out, err = run(capsys, "paths", "--store", str(store_dir),
                          "--origin", "v1", "--target", "v3")
@@ -151,6 +153,38 @@ def test_reinsert_command(capsys, store_dir, tmp_path):
     assert json.loads(out)["reinserted"] == 1
     code, out, _ = run(capsys, "stats", "--store", str(store_dir))
     assert json.loads(out)["paths"] == 6
+
+
+def test_ingest_runs_no_scoring_pass(capsys, store_dir, csv_feed, tmp_path, monkeypatch):
+    # ingest writes back only alerts, so nothing it does reads a score
+    ingest_fixture(capsys, store_dir, csv_feed)
+    calls = []
+
+    def counted(scorer):
+        def counting(store):
+            calls.append(store)
+            return scorer(store)
+
+        return counting
+
+    for module in (store_module, maintenance, query, render):
+        if hasattr(module, "recompute_threat_scores"):
+            monkeypatch.setattr(
+                module, "recompute_threat_scores", counted(module.recompute_threat_scores)
+            )
+    more = tmp_path / "more.csv"
+    more.write_text("v4,v5,4000,3\n", encoding="utf-8")
+    code, out, _ = run(capsys, "ingest", "--store", str(store_dir),
+                       "--input", str(more), "--format", "csv")
+    assert code == EXIT_OK
+    assert json.loads(out)["paths_created"] == 4
+    assert calls == []
+    # the patch does reach the scorer: the first read of a score runs it
+    code, out, _ = run(capsys, "top", "--store", str(store_dir),
+                       "--what", "paths", "--k", "1")
+    assert code == EXIT_OK
+    assert calls
+    assert out.splitlines()[1].split()[-2] == "3.46"  # 3 sids x 4 alerts
 
 
 def test_bench_chain_output(capsys):

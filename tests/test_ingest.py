@@ -17,7 +17,7 @@ from alertpaths.ingest import (
 )
 from alertpaths.store import AlertStore
 
-from conftest import mk_alert
+from conftest import canonical_state, mk_alert
 
 
 def eve_line(
@@ -229,6 +229,19 @@ def test_ingest_chronological_fails_behind_existing_store():
 def test_ingest_unknown_format_rejected():
     with pytest.raises(ValueError):
         ingest_stream(AlertStore(), [], fmt="xml")  # type: ignore[arg-type]
+
+
+def test_ingest_unknown_mode_rejected_before_any_change():
+    # "Auto" is not "auto": it must neither sort nor reinsert, but fail
+    # before the first line is parsed or stored
+    store = AlertStore()
+    ingest_stream(store, ["v1,v2,5000,1"], fmt="csv")
+    before = canonical_state(store)
+    for mode in ("Auto", "sorted", ""):
+        with pytest.raises(ValueError, match="mode"):
+            ingest_stream(store, ["v2,v3,6000,1", "v9,v8,1000,1"], fmt="csv", mode=mode)
+        assert canonical_state(store) == before
+        assert store.stats().path_count == 1
 
 
 def test_reinsert_stream_routes_everything():

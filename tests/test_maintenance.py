@@ -17,13 +17,9 @@ from alertpaths.bench import (
 )
 from alertpaths.errors import OutOfOrderError, StoreError
 from alertpaths.ingest import ingest_stream
-from alertpaths.maintenance import (
-    insert_alert,
-    recompute_threat_scores,
-    reinsert_alert,
-)
+from alertpaths.maintenance import insert_alert, reinsert_alert
 from alertpaths.model import Alert, EndpointPair
-from alertpaths.store import AlertStore
+from alertpaths.store import AlertStore, recompute_threat_scores
 
 from conftest import assert_prefix_first, canonical_state, mk_alert
 

@@ -7,15 +7,17 @@ import random
 import pytest
 
 from alertpaths.bench import build_store, generate_random
-from alertpaths.maintenance import recompute_threat_scores
-from alertpaths.model import AlertTree, TreeNode
+from alertpaths.ingest import ingest_stream
+from alertpaths.maintenance import insert_alert, reinsert_alert
+from alertpaths.model import Alert, AlertTree, TreeNode
 from alertpaths.query import (
     build_backward_tree,
     build_forward_tree,
     retrieve_paths,
     top_trees,
 )
-from alertpaths.store import AlertStore
+from alertpaths.render import paths_to_table, tree_to_structured
+from alertpaths.store import AlertStore, recompute_threat_scores
 
 from conftest import forbid_path_scans, mk_alert
 
@@ -261,3 +263,103 @@ def test_top_trees_k_bounds():
     assert sorted(t.root.label for t in everything) == ["a", "b", "c"]
     with pytest.raises(ValueError):
         top_trees(store, -1)
+
+
+def test_top_trees_rejects_unknown_direction():
+    store = divergent_store()
+    before = {p.vertices for p in store.paths()}
+    with pytest.raises(ValueError, match="direction"):
+        top_trees(store, 1, "Forward")  # type: ignore[arg-type]
+    # rejected before any read: nothing was scored either
+    assert store.scores_stale is True
+    assert {p.vertices for p in store.paths()} == before
+
+
+# ---------------------------------------------------------------------------
+# every reader refreshes stale scores
+# ---------------------------------------------------------------------------
+
+
+def _every_root_tree(store: AlertStore) -> list[str]:
+    roots = sorted({v for p in store.paths() for v in p.vertices})
+    return [
+        tree_to_structured(build(store, root))
+        for build in (build_forward_tree, build_backward_tree)
+        for root in roots
+    ]
+
+
+def _every_retrieval(store: AlertStore) -> list:
+    ends = sorted({(p.origin, p.target) for p in store.paths()})
+    return [[(p.vertices, p.pts) for p in retrieve_paths(store, *end)] for end in ends]
+
+
+def _rankings(store: AlertStore) -> tuple:
+    paths, paths_stale = store.top_paths_by_pts(8)
+    endpoints, endpoints_stale = store.top_endpoints_by_ets(8)
+    return (
+        [(p.vertices, p.pts) for p in paths],
+        paths_stale,
+        [(r.pair, r.ets) for r in endpoints],
+        endpoints_stale,
+    )
+
+
+# Each reader gets its own freshly mutated store, so that none of them can
+# rely on an earlier one having refreshed the scores. Structured trees hold
+# every node's ETS and colour, in sibling order.
+SCORE_READERS = {
+    "retrieve_paths": _every_retrieval,
+    "trees": _every_root_tree,
+    "top_trees": lambda store: [
+        tree_to_structured(tree)
+        for direction in ("forward", "backward")
+        for tree in top_trees(store, 4, direction)
+    ],
+    "rankings": _rankings,
+    "paths_to_table": lambda store: paths_to_table(list(store.paths()), store),
+}
+
+
+def _mutated_stores(kind: str, tmp_path):
+    """A function that builds the same store, mutated by ``kind`` after a
+    full rescore and not rescored since."""
+    alerts = generate_random(6, 24, seed=5)
+    head = alerts[-1].time_us
+    late_time = alerts[len(alerts) // 2].time_us
+    first, last = alerts[0], alerts[-1]
+    snapshot = tmp_path / "base.jsonl"
+    build_store(alerts).snapshot(snapshot)
+
+    def build() -> AlertStore:
+        store = build_store(alerts)
+        recompute_threat_scores(store)
+        seq = store.next_seq
+        if kind == "insert_alert":
+            insert_alert(store, Alert(first.source, first.destination, head + 1, 7, seq))
+        elif kind == "reinsert_alert":
+            reinsert_alert(store, Alert(last.source, last.destination, late_time, 7, seq))
+        elif kind == "ingest_auto":
+            lines = [
+                f"{last.source},{last.destination},{late_time},7",
+                f"{first.source},{first.destination},{head + 1},8",
+            ]
+            ingest_stream(store, lines, fmt="csv", mode="auto")
+        else:
+            store = AlertStore()
+            store.load(snapshot)
+        assert store.scores_stale is True
+        return store
+
+    return build
+
+
+@pytest.mark.parametrize("kind", ["insert_alert", "reinsert_alert", "ingest_auto", "load"])
+def test_no_reader_returns_a_stale_score(kind, tmp_path):
+    build = _mutated_stores(kind, tmp_path)
+    rescored = build()
+    recompute_threat_scores(rescored)
+    differing = [
+        name for name, read in SCORE_READERS.items() if read(build()) != read(rescored)
+    ]
+    assert differing == []

@@ -5,7 +5,6 @@ from __future__ import annotations
 import re
 
 from alertpaths.bench import build_store, generate_random
-from alertpaths.maintenance import recompute_threat_scores
 from alertpaths.query import build_backward_tree, build_forward_tree, retrieve_paths
 from alertpaths.render import (
     color_hex,
@@ -15,6 +14,7 @@ from alertpaths.render import (
     tree_to_dot,
     tree_to_structured,
 )
+from alertpaths.store import recompute_threat_scores
 
 from conftest import mk_alert
 

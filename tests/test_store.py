@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import pytest
@@ -10,9 +11,9 @@ import pytest
 from alertpaths import store as store_module
 from alertpaths.bench import brute_force_paths, build_store, generate_chain, generate_random
 from alertpaths.errors import StoreError
-from alertpaths.maintenance import insert_alert, recompute_threat_scores
+from alertpaths.maintenance import insert_alert
 from alertpaths.model import EndpointPair, PathRecord
-from alertpaths.store import AlertStore
+from alertpaths.store import AlertStore, recompute_threat_scores
 
 from conftest import canonical_state, forbid_path_scans, mk_alert
 
@@ -205,8 +206,12 @@ def test_staleness_flag_follows_mutations():
     _, stale = store.top_endpoints_by_ets(1)
     assert stale is False
     store.upsert_endpoint(mk_alert("a", "b", 2, seq=1))
-    _, stale = store.top_endpoints_by_ets(1)
-    assert stale is True
+    assert store.scores_stale is True
+    # a ranking refreshes the stale scores before it reads them
+    (record,), stale = store.top_endpoints_by_ets(1)
+    assert stale is False
+    assert store.scores_stale is False
+    assert record.ets == math.sqrt(2)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +245,6 @@ def test_snapshot_load_round_trip(tmp_path):
     restored = AlertStore()
     restored.load(first)
     assert restored.stats() == store.stats()
-    assert restored.scores_stale is False
     assert restored.head == store.head
     assert restored.next_seq == store.next_seq
     assert canonical_state(restored) == canonical_state(store)

@@ -1,5 +1,6 @@
 """Repository tooling: the benchmark's feed generators match the package's,
-the README documents every CLI command, and its library example runs."""
+the README documents every CLI command, its library example runs, and a
+slice of a benchmark session runs and passes the benchmark's checks."""
 
 from __future__ import annotations
 
@@ -56,3 +57,54 @@ def test_readme_library_example_runs():
     # the two outputs the example's comments promise
     assert "path_count=6" in result.stdout
     assert "('ws-7', 'jump-1', 'files-2', 'db-9') 3.0" in result.stdout
+
+
+# One chain150 session, cut down: the engine calls the benchmark makes, and
+# the checks it runs on them, in a fresh interpreter like perfbench/run.py.
+BENCHMARK_SLICE = """
+import sys
+from pathlib import Path
+
+import checks
+import workloads
+
+src, workdir = Path(sys.argv[1]), Path(sys.argv[2])
+inputs = workloads.WORKLOADS["chain150"](1)
+(workdir / "cli_next.jsonl").write_text("".join(inputs.cli_lines), encoding="utf-8")
+session = workloads.Session(inputs, workdir, src)
+store, _ = session.feed_pass(serve_requests=False)
+requests = inputs.requests[-1][:40]
+assert sum(kind == "top" for kind, _, _ in requests) == 2
+session.serve(store, 0, requests, None)
+session.late_alerts(store, 0)
+snapshot = session.persist(store)
+session.cli_round(snapshot)
+# check_cli compares the CLI with a store loaded the way the CLI loads it,
+# so it cannot see a load that leaves scores unset; the fed store can
+printed = [line.split()[0] for line in session.cli_outputs[-1][0].splitlines()]
+expected = [f"root={tree.root.label}" for tree in workloads.top_trees(store, workloads.TOP_K)]
+assert printed == expected, (printed, expected)
+loaded = workloads.AlertStore()
+loaded.load(snapshot)
+session.check_cli(loaded)
+failures = session.failures + checks.exactness(store)
+assert not failures and session.failed == 0, (session.failed, failures)
+print("ok", store.stats().path_count)
+"""
+
+
+def test_benchmark_session_slice_runs(tmp_path):
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]),
+    }
+    result = subprocess.run(
+        [sys.executable, "-c", BENCHMARK_SLICE, str(ROOT / "src"), str(tmp_path)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.split() == ["ok", "11325"]
