@@ -202,14 +202,11 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     store = _read_store(args)
     build = build_forward_tree if args.direction == "forward" else build_backward_tree
     tree = build(store, args.root)
-    wrote = False
     if args.dot:
         Path(args.dot).write_text(tree_to_dot(tree), encoding="utf-8")
-        wrote = True
     if args.json:
         Path(args.json).write_text(tree_to_structured(tree), encoding="utf-8")
-        wrote = True
-    if not wrote:
+    if not (args.dot or args.json):
         sys.stdout.write(tree_to_structured(tree))
     return EXIT_OK
 

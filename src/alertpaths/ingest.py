@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from typing import Callable, Iterable, Literal
 
@@ -77,7 +77,8 @@ def parse_timestamp(text: str) -> int:
 
 
 def parse_eve_line(line: str) -> Alert | None:
-    """One EVE JSON line -> Alert, or None for non-alert event types."""
+    """One EVE JSON line -> Alert, or None for non-alert event types; a
+    value that breaks `Alert`'s field rule raises `ParseError`."""
     try:
         event = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -97,18 +98,15 @@ def parse_eve_line(line: str) -> Alert | None:
         sid = event["alert"]["signature_id"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing field {exc}")
-    if not (isinstance(source, str) and source and isinstance(dest, str) and dest):
-        raise ParseError(
-            f"src_ip and dest_ip must be non-empty strings, got {source!r} and {dest!r}"
-        )
-    # JSON true and false load as bool, which subclasses int
-    if not isinstance(sid, int) or isinstance(sid, bool):
-        raise ParseError(f"signature id must be an integer, got {sid!r}")
-    return Alert(source, dest, parse_timestamp(str(timestamp)), sid)
+    try:
+        return Alert(source, dest, parse_timestamp(str(timestamp)), sid)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def parse_csv_line(line: str) -> Alert | None:
-    """One ``source,destination,epoch_micros,id`` row -> Alert; blank -> None."""
+    """One ``source,destination,epoch_micros,id`` row -> Alert; blank -> None.
+    A non-integer time or id, or a field `Alert` rejects, raises `ParseError`."""
     if not line.strip():
         return None
     rows = list(csv.reader([line]))
@@ -116,14 +114,10 @@ def parse_csv_line(line: str) -> Alert | None:
     if len(fields) != 4:
         raise ParseError(f"expected 4 fields, got {len(fields)}")
     source, dest, time_text, sid_text = (f.strip() for f in fields)
-    if not source or not dest:
-        raise ParseError("empty source or destination")
     try:
-        time_us = int(time_text)
-        sid = int(sid_text)
-    except ValueError:
-        raise ParseError(f"non-integer time or id in {line.strip()!r}")
-    return Alert(source, dest, time_us, sid)
+        return Alert(source, dest, int(time_text), int(sid_text))
+    except ValueError as exc:
+        raise ParseError(f"{exc} in {line.strip()!r}") from None
 
 
 _PARSERS: dict[str, Callable[[str], Alert | None]] = {
@@ -157,30 +151,25 @@ def ingest_stream(
     alerts = _parse_all(lines, fmt, strict, report)
     if mode == "chronological":
         alerts.sort(key=lambda item: item[1].time_us)  # ties keep input order
-    seq = store.next_seq
-    done = 0
-    for line_no, alert in alerts:
-        alert = replace(alert, seq=seq)
-        seq += 1
+    for done, (line_no, alert) in enumerate(alerts, start=1):
+        alert = Alert(alert.source, alert.destination, alert.time_us, alert.sid, store.next_seq)
         latest = store.latest_time_us
-        if mode == "auto" and latest is not None and alert.time_us < latest:
-            outcome = reinsert_alert(store, alert)
-            report.reinserted += 1
-        else:
-            try:
-                outcome = insert_alert(store, alert)
-            except OutOfOrderError:
+        if latest is not None and alert.time_us < latest:
+            if mode == "chronological":
                 # the batch is sorted, so only its first alert can be behind
                 # the head, and the store has not changed yet
                 raise OutOfOrderError(
                     f"line {line_no}: alert at time {alert.time_us} is older than "
                     f"the store's newest at {latest}; ingest late alerts with "
                     'mode="auto" (--mode auto)'
-                ) from None
+                )
+            outcome = reinsert_alert(store, alert)
+            report.reinserted += 1
+        else:
+            outcome = insert_alert(store, alert)
             report.inserted += 1
         report.endpoints_created += outcome.endpoints_created
         report.paths_created += outcome.paths_created
-        done += 1
         if progress is not None and done % _PROGRESS_EVERY == 0:
             progress(done)
     return report

@@ -19,7 +19,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .errors import OutOfOrderError, StoreError
+from .errors import OutOfOrderError
 from .model import Alert, OrderKey, PathRecord
 from .store import AlertStore
 
@@ -104,11 +104,8 @@ def reinsert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
 
     def keys_of(pair: tuple[str, ...]) -> list[OrderKey]:
         found = sorted_keys.get(pair)
-        if found is None:
-            endpoint = store.endpoint(pair)
-            if endpoint is None:
-                raise StoreError(f"stored path references unknown pair {pair}")
-            found = sorted_keys[pair] = sorted(a.key for a in endpoint.alerts)
+        if found is None:  # insert_path stores no path without its pairs' records
+            found = sorted_keys[pair] = sorted(a.key for a in store.endpoint(pair).alerts)
         return found
 
     earliest: dict[tuple[str, ...], OrderKey] = {}

@@ -31,7 +31,10 @@ class Alert:
     """One IDS detection event.
 
     ``seq`` is the ingestion ordinal assigned by the ingest layer; parsers
-    leave it at 0 and the stream loop fills it in before insertion.
+    leave it at 0 and the stream loop fills it in before insertion. Every
+    construction, by parsers, `load` or library code, enforces the field
+    rule: endpoints are non-empty strings and ``time_us``, ``sid`` and
+    ``seq`` exactly ``int``, so not bools; anything else raises `ValueError`.
     """
 
     source: str
@@ -39,6 +42,18 @@ class Alert:
     time_us: int
     sid: int
     seq: int = 0
+
+    def __post_init__(self) -> None:
+        if not (
+            isinstance(self.source, str) and self.source
+            and isinstance(self.destination, str) and self.destination
+            # exactly int: bool subclasses int, and JSON true and false load as bool
+            and type(self.time_us) is int and type(self.sid) is int and type(self.seq) is int
+        ):
+            raise ValueError(
+                "an alert needs non-empty string endpoints and integer time_us, sid "
+                f"and seq, got {self!r}"
+            )
 
     @property
     def pair(self) -> EndpointPair:
@@ -67,19 +82,13 @@ class EndpointRecord:
 class PathRecord:
     """An acyclic, chronologically feasible walk through the alert graph.
 
-    ``pts`` is a cached score. The store's readers refresh it when a
-    mutation has made it stale; code that reads ``AlertStore.paths()``
-    directly calls ``recompute_threat_scores`` first.
+    A plain record: `AlertStore.insert_path` admits only simple paths of a
+    hop or more. ``pts`` is a cached score that the store's readers refresh;
+    code reading ``AlertStore.paths()`` calls ``recompute_threat_scores`` first.
     """
 
     vertices: tuple[str, ...]
     pts: float = 0.0
-
-    def __post_init__(self) -> None:
-        if len(self.vertices) < 2:
-            raise ValueError("an alert path needs at least two vertices")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError(f"alert path repeats a vertex: {self.vertices}")
 
     @property
     def origin(self) -> str:

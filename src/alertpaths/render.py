@@ -94,14 +94,22 @@ def _text_color(color: int) -> str:
 
 
 def tree_to_structured(tree: AlertTree) -> str:
-    """Lossless nested JSON serialization of a tree."""
-    payload = {"direction": tree.direction, "root": _node_to_obj(tree.root)}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Lossless nested JSON serialization of a tree. Nesting recurses per
+    level, so past about 490 levels this raises `ValueError`; DOT does not."""
+    try:
+        payload = {"direction": tree.direction, "root": _node_to_obj(tree.root)}
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    except RecursionError:
+        depth = max(len(prefix) for prefix, _, _ in _walk(tree.root))
+        raise ValueError(f"tree is {depth} levels deep, too deep for JSON; use --dot") from None
 
 
 def tree_from_structured(text: str) -> AlertTree:
-    """Inverse of tree_to_structured."""
-    payload = json.loads(text)
+    """Inverse of tree_to_structured, with the same depth limit."""
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("structured tree nests too deep to read") from None
     return AlertTree(_node_from_obj(payload["root"]), payload["direction"])
 
 

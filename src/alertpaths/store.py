@@ -102,12 +102,12 @@ class AlertStore:
     def insert_path(self, path: PathRecord) -> None:
         """Index a new path after its one-hop-shorter prefix.
 
-        Duplicates are rejected; `insert_alert` prevents them with
-        `has_path` and `reinsert_alert` by its key window, and the check
-        here is a backstop. The last pair must have an endpoint
-        record and, beyond one hop, the prefix must be stored, so by
-        induction every pair of every stored path has its record and the
-        path set stays prefix-closed and prefix-first.
+        The one gate for the stored-path rule. Duplicates are rejected as a
+        backstop to `insert_alert`'s `has_path` and `reinsert_alert`'s key
+        window. The last pair must have an endpoint record, the last vertex
+        must be new to the path and, beyond one hop, the prefix stored; by
+        induction every stored path is simple, at least one hop long and has
+        a record for every pair, and the path set stays prefix-first.
         """
         vertices = path.vertices
         if vertices in self._paths:
@@ -115,6 +115,8 @@ class AlertStore:
         last = vertices[-2:]  # a plain tuple hashes like EndpointPair
         if last not in self._endpoints:
             raise StoreError(f"path {vertices} references unknown pair {last}")
+        if vertices[-1] in vertices[:-1]:
+            raise StoreError(f"path {vertices} repeats its last vertex")
         if len(vertices) > 2 and vertices[:-1] not in self._paths:
             raise StoreError(f"path {vertices} has no stored prefix {vertices[:-1]}")
         self._paths[vertices] = path
@@ -238,8 +240,9 @@ class AlertStore:
     def load(self, source: str | Path) -> None:
         """Replace the store's contents with a snapshot's.
 
-        The file is outside input: every line is validated, and ordinals
-        must be unique across it, before the store is touched, so a bad
+        The file is outside input. Every line is validated, each alert by
+        `Alert`'s field rule (a violation is a `StoreError` naming the line),
+        and ordinals must be unique, before the store is touched, so a bad
         file leaves the store as it was. The alerts are then replayed in
         (time, seq) order, so every path is derived, never read from the
         file; scores are computed by the first read that needs them.
@@ -273,33 +276,28 @@ class AlertStore:
         line_of_seq: dict[int, int] = {}
         for line_no in range(2, 2 + n_endpoints):
             row = _load_line(lines[line_no - 1], line_no)
-            src, dst, triples = row.get("src"), row.get("dst"), row.get("alerts")
-            if not (isinstance(src, str) and src and isinstance(dst, str) and dst):
-                raise StoreError(
-                    f"snapshot line {line_no}: src and dst must be non-empty strings"
-                )
+            triples = row.get("alerts")
             if not isinstance(triples, list) or not triples:
                 raise StoreError(
                     f"snapshot line {line_no}: alerts must be a non-empty list"
                 )
             for triple in triples:
-                if not (
-                    isinstance(triple, list)
-                    and len(triple) == 3
-                    and all(map(_is_int, triple))
-                ):
+                if not (isinstance(triple, list) and len(triple) == 3):
                     raise StoreError(
                         f"snapshot line {line_no}: alert {triple!r} is not "
-                        "three integers [time_us, sid, seq]"
+                        "a three-element list [time_us, sid, seq]"
                     )
-                time_us, sid, seq = triple
-                if seq in line_of_seq:
+                try:
+                    alert = Alert(row.get("src"), row.get("dst"), *triple)
+                except ValueError as exc:
+                    raise StoreError(f"snapshot line {line_no}: {exc}") from None
+                if alert.seq in line_of_seq:
                     raise StoreError(
-                        f"snapshot line {line_no}: ordinal {seq} already used "
-                        f"on line {line_of_seq[seq]}"
+                        f"snapshot line {line_no}: ordinal {alert.seq} already used "
+                        f"on line {line_of_seq[alert.seq]}"
                     )
-                line_of_seq[seq] = line_no
-                alerts.append(Alert(src, dst, time_us, sid, seq))
+                line_of_seq[alert.seq] = line_no
+                alerts.append(alert)
 
         self.__init__()
         alerts.sort(key=lambda a: a.key)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from alertpaths.model import Alert
+from alertpaths.model import Alert, AlertTree, TreeNode
 from alertpaths.store import AlertStore, recompute_threat_scores
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -18,6 +18,16 @@ def mk_alert(
 ) -> Alert:
     """Alert shorthand; seq defaults to the time so streams stay ordered."""
     return Alert(source, dest, time_us, sid, seq=time_us if seq is None else seq)
+
+
+def deep_chain_tree(levels: int) -> AlertTree:
+    """A forward tree that is one chain of ``levels`` nodes, v1 at the root."""
+    root = node = TreeNode("v1")
+    for i in range(2, levels + 1):
+        child = TreeNode(f"v{i}", ets=1.0)
+        node.children.append(child)
+        node = child
+    return AlertTree(root, "forward")
 
 
 def canonical_state(store: AlertStore) -> str:

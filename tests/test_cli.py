@@ -10,6 +10,8 @@ from alertpaths import maintenance, query, render
 from alertpaths import store as store_module
 from alertpaths.cli import EXIT_OK, EXIT_PARSE, EXIT_STORE, EXIT_USAGE, main
 
+from conftest import deep_chain_tree
+
 
 @pytest.fixture
 def store_dir(tmp_path):
@@ -105,6 +107,17 @@ def test_tree_stdout_and_files(capsys, store_dir, csv_feed, tmp_path):
     assert out == ""  # files requested, stdout stays quiet
     assert dot_file.read_text().startswith("digraph")
     assert json.loads(json_file.read_text())["direction"] == "backward"
+
+
+def test_tree_too_deep_for_json_is_a_usage_error(capsys, store_dir, csv_feed, monkeypatch):
+    ingest_fixture(capsys, store_dir, csv_feed)
+    monkeypatch.setattr(
+        "alertpaths.cli.build_forward_tree", lambda store, root: deep_chain_tree(600)
+    )
+    code, out, err = run(capsys, "tree", "--store", str(store_dir), "--root", "v1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "600 levels deep" in err and "--dot" in err
 
 
 def test_top_endpoints_paths_trees(capsys, store_dir, csv_feed):

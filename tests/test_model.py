@@ -203,8 +203,24 @@ def test_path_record_derives_pairs():
     assert path.target == "v3"
 
 
-def test_path_record_rejects_degenerate_shapes():
-    with pytest.raises(ValueError):
-        PathRecord(("v1",))
-    with pytest.raises(ValueError):
-        PathRecord(("v1", "v2", "v1"))
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("source", None),
+        ("source", ""),
+        ("source", 7),
+        ("destination", None),
+        ("destination", ""),
+        ("destination", ("b",)),
+    ]
+    + [
+        (field, value)
+        for field in ("time_us", "sid", "seq")
+        for value in (True, False, 1.0, 1.5, "1", None)
+    ],
+)
+def test_alert_rejects_malformed_field(field, value):
+    fields = {"source": "a", "destination": "b", "time_us": 1, "sid": 2, "seq": 3}
+    Alert(**fields)
+    with pytest.raises(ValueError, match="non-empty string endpoints"):
+        Alert(**{**fields, field: value})

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import re
 
+import pytest
+
 from alertpaths.bench import build_store, generate_random
 from alertpaths.query import build_backward_tree, build_forward_tree, retrieve_paths
 from alertpaths.render import (
@@ -16,7 +18,7 @@ from alertpaths.render import (
 )
 from alertpaths.store import recompute_threat_scores
 
-from conftest import mk_alert
+from conftest import deep_chain_tree, mk_alert
 
 
 def sample_store():
@@ -135,6 +137,19 @@ def test_structured_is_byte_deterministic():
     a = tree_to_structured(build_forward_tree(store, "a"))
     b = tree_to_structured(build_forward_tree(store, "a"))
     assert a == b
+
+
+def test_structured_rejects_a_tree_too_deep_to_nest():
+    # structured JSON nests once per level; DOT does not
+    tree = deep_chain_tree(600)
+    with pytest.raises(ValueError, match=r"600 levels deep.*--dot"):
+        tree_to_structured(tree)
+    assert tree_to_dot(tree).count(" -> ") == 599
+    text = tree_to_structured(deep_chain_tree(400))  # below the limit it still renders
+    assert tree_to_structured(tree_from_structured(text)) == text
+    nested = '{"direction": "forward", "root": ' + '{"children": [' * 600
+    with pytest.raises(ValueError, match="too deep"):
+        tree_from_structured(nested + "]}" * 600 + "}")
 
 
 # ---------------------------------------------------------------------------

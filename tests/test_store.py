@@ -12,7 +12,7 @@ from alertpaths import store as store_module
 from alertpaths.bench import brute_force_paths, build_store, generate_chain, generate_random
 from alertpaths.errors import StoreError
 from alertpaths.maintenance import insert_alert
-from alertpaths.model import EndpointPair, PathRecord
+from alertpaths.model import Alert, EndpointPair, PathRecord
 from alertpaths.store import AlertStore, recompute_threat_scores
 
 from conftest import canonical_state, forbid_path_scans, mk_alert
@@ -81,6 +81,40 @@ def test_insert_path_requires_stored_prefix():
         store.insert_path(PathRecord(("a", "b", "c", "d")))
     store.insert_path(PathRecord(("a", "b", "c")))
     assert [p.vertices for p in store.paths()] == [("a", "b"), ("a", "b", "c")]
+
+
+def test_insert_path_rejects_degenerate_shapes():
+    # the store, not PathRecord, owns the stored-path rule
+    store = AlertStore()
+    store.upsert_endpoint(mk_alert("v1", "v2", 1, seq=0))
+    store.upsert_endpoint(mk_alert("v2", "v1", 2, seq=1))
+    store.upsert_endpoint(mk_alert("v1", "v1", 3, seq=2))
+    store.insert_path(PathRecord(("v1", "v2")))
+    before = canonical_state(store)
+    for vertices in [("v1",), ("v1", "v2", "v1"), ("v1", "v1")]:
+        with pytest.raises(StoreError):
+            store.insert_path(PathRecord(vertices))
+        assert not store.has_path(vertices)
+    assert canonical_state(store) == before
+    assert [p.vertices for p in store.paths()] == [("v1", "v2")]
+
+
+# Each of these once went into a store whose own snapshot then failed to load.
+MALFORMED_ALERT_FIELDS = [
+    ("a", "b", 1, True, 0),
+    ("a", "b", 1.5, 1, 0),
+    ("", "b", 1, 1, 0),
+    ("a", "b", 1, 1, True),
+    ("a", "b", 1, "7", 0),
+]
+
+
+@pytest.mark.parametrize("fields", MALFORMED_ALERT_FIELDS)
+def test_malformed_alert_never_reaches_a_store(fields):
+    store = AlertStore()
+    with pytest.raises(ValueError):
+        insert_alert(store, Alert(*fields))
+    assert store.stats().alert_count == 0
 
 
 def test_find_paths_spec_shapes():

@@ -1,10 +1,12 @@
 """Repository tooling: the benchmark's feed generators match the package's,
-the README documents every CLI command, its library example runs, and a
-slice of a benchmark session runs and passes the benchmark's checks."""
+the README documents every CLI command, its library example runs, a slice
+of a benchmark session runs and passes the benchmark's checks, and the
+package imports only the standard library."""
 
 from __future__ import annotations
 
 import argparse
+import ast
 import os
 import re
 import subprocess
@@ -108,3 +110,21 @@ def test_benchmark_session_slice_runs(tmp_path):
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.split() == ["ok", "11325"]
+
+
+def test_package_imports_only_the_standard_library():
+    # the README promises no third-party runtime dependencies
+    outside = []
+    for module in sorted((ROOT / "src" / "alertpaths").rglob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top != "alertpaths":
+                    outside.append(f"{module.name}: {name}")
+    assert outside == []
