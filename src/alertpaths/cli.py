@@ -202,11 +202,12 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     store = _read_store(args)
     build = build_forward_tree if args.direction == "forward" else build_backward_tree
     tree = build(store, args.root)
-    if args.dot:
-        Path(args.dot).write_text(tree_to_dot(tree), encoding="utf-8")
-    if args.json:
-        Path(args.json).write_text(tree_to_structured(tree), encoding="utf-8")
-    if not (args.dot or args.json):
+    # render every requested output before writing any, so a failure writes none
+    renders = ((args.dot, tree_to_dot), (args.json, tree_to_structured))
+    outputs = [(path, render(tree)) for path, render in renders if path]
+    for path, text in outputs:
+        Path(path).write_text(text, encoding="utf-8")
+    if not outputs:
         sys.stdout.write(tree_to_structured(tree))
     return EXIT_OK
 
@@ -225,10 +226,11 @@ def _cmd_top(args: argparse.Namespace) -> int:
         sys.stdout.write(paths_to_table(records, store))
     else:
         for tree in top_trees(store, args.k, args.direction):
-            best = max((n.ets for n in tree.nodes() if n.ets is not None), default=0.0)
+            nodes = tree.nodes()
+            best = max((n.ets for n in nodes if n.ets is not None), default=0.0)
             print(
                 f"root={tree.root.label}  direction={tree.direction}"
-                f"  nodes={len(tree.nodes())}  max_ets={format_score(best)}"
+                f"  nodes={len(nodes)}  max_ets={format_score(best)}"
                 f"  root_color={color_hex(tree.root.color)}"
             )
     return EXIT_OK

@@ -25,6 +25,7 @@ from .store import AlertStore
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _OFFSET_NO_COLON = re.compile(r"([+-]\d{2})(\d{2})$")
+_DECIMAL = re.compile(r"-?[0-9]+")  # not int()'s syntax: no sign "+", "_" or non-ASCII digits
 _PROGRESS_EVERY = 1000
 
 
@@ -106,7 +107,8 @@ def parse_eve_line(line: str) -> Alert | None:
 
 def parse_csv_line(line: str) -> Alert | None:
     """One ``source,destination,epoch_micros,id`` row -> Alert; blank -> None.
-    A non-integer time or id, or a field `Alert` rejects, raises `ParseError`."""
+    A time or id other than ``-?[0-9]+`` after stripping, or a field `Alert`
+    rejects, raises `ParseError`."""
     if not line.strip():
         return None
     rows = list(csv.reader([line]))
@@ -114,6 +116,8 @@ def parse_csv_line(line: str) -> Alert | None:
     if len(fields) != 4:
         raise ParseError(f"expected 4 fields, got {len(fields)}")
     source, dest, time_text, sid_text = (f.strip() for f in fields)
+    if not (_DECIMAL.fullmatch(time_text) and _DECIMAL.fullmatch(sid_text)):
+        raise ParseError(f"time and id must be plain decimal integers in {line.strip()!r}")
     try:
         return Alert(source, dest, int(time_text), int(sid_text))
     except ValueError as exc:

@@ -70,6 +70,10 @@ def _build_tree(store: AlertStore, root: str, direction: Direction) -> AlertTree
     else:
         paths = store.find_paths_ending_at(root)
         sequences = [tuple(reversed(p.vertices)) for p in paths]
+    # Every tree node ends one of these paths, because the stored set is
+    # prefix- and suffix-closed, so their last arcs hold the tree's hottest
+    # ETS and each node is coloured as it is created. The root stays black.
+    max_ets = max((_arc_ets(store, s[-2], s[-1], direction) for s in sequences), default=0.0)
     # Insertion order decides sibling order: best path first, then label.
     order = sorted(range(len(paths)), key=lambda i: (-paths[i].pts, sequences[i]))
 
@@ -81,27 +85,16 @@ def _build_tree(store: AlertStore, root: str, direction: Direction) -> AlertTree
             index = children_of[id(node)]
             child = index.get(label)
             if child is None:
-                child = TreeNode(label, ets=_arc_ets(store, node.label, label, direction))
+                ets = _arc_ets(store, node.label, label, direction)
+                child = TreeNode(label, ets, normalize_color(ets, max_ets))
                 node.children.append(child)
                 index[label] = child
                 children_of[id(child)] = {}
             node = child
-
-    tree = AlertTree(root_node, direction)
-    _colorize(tree)
-    return tree
+    return AlertTree(root_node, direction)
 
 
 def _arc_ets(store: AlertStore, parent: str, child: str, direction: Direction) -> float:
     # scoring raised StoreError already if a stored path's pair were missing
     pair = (parent, child) if direction == "forward" else (child, parent)
     return store.endpoint(EndpointPair(*pair)).ets
-
-
-def _colorize(tree: AlertTree) -> None:
-    """Root stays black; everything else scales black-to-red against the max."""
-    tree.root.color = 0x000000
-    scored = [node for node in tree.nodes() if node.ets is not None]
-    max_ets = max((node.ets for node in scored), default=0.0)
-    for node in scored:
-        node.color = normalize_color(node.ets, max_ets)

@@ -1,15 +1,13 @@
 """Presentation: DOT graphs, a lossless structured tree form, path tables.
 
-All output here is byte-deterministic for equal inputs: node identifiers
-are content hashes of the root-to-node label prefix, children are emitted
-in stored order, and JSON is dumped with sorted keys.
+All output here is byte-deterministic for equal inputs: DOT node
+identifiers number the nodes in preorder, children are emitted in stored
+order, and JSON is dumped with sorted keys.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-from typing import Iterator
 
 from .model import AlertTree, PathRecord, TreeNode
 from .store import AlertStore, recompute_threat_scores
@@ -34,49 +32,33 @@ def tree_to_dot(tree: AlertTree) -> str:
     """Graphviz source for one alert tree.
 
     Nodes are filled with their assigned color and labelled with the bare
-    vertex label; duplicate labels stay distinct because node identifiers
-    hash the whole root-to-node prefix. Backward trees draw their edges
-    child-to-parent so arrows always follow actual alert direction.
+    vertex label; duplicate labels stay distinct because a node's
+    identifier is its preorder index, ``n`` plus 16 hex digits. Node lines
+    come in preorder and each edge line in its child's preorder. Backward
+    trees draw their edges child-to-parent so arrows always follow actual
+    alert direction.
     """
     lines = [
         "digraph alert_tree {",
         "  rankdir=LR;",
         '  node [shape=box, style=filled, fontname="Helvetica"];',
     ]
-    node_lines: list[str] = []
-    edge_lines: list[str] = []
-    for prefix, node, parent_id in _walk(tree.root):
-        node_id = _node_id(prefix)
+    nodes = tree.nodes()
+    index = {id(node): i for i, node in enumerate(nodes)}
+    edge_lines = [""] * (len(nodes) - 1)  # the edge into node j is line j - 1
+    for i, node in enumerate(nodes):
         label = node.label.replace("\\", "\\\\").replace('"', '\\"')
-        node_lines.append(
-            f'  {node_id} [label="{label}", fillcolor="{color_hex(node.color)}", '
+        lines.append(
+            f'  n{i:016x} [label="{label}", fillcolor="{color_hex(node.color)}", '
             f'fontcolor="{_text_color(node.color)}"];'
         )
-        if parent_id is not None:
-            if tree.direction == "forward":
-                edge_lines.append(f"  {parent_id} -> {node_id};")
-            else:
-                edge_lines.append(f"  {node_id} -> {parent_id};")
-    lines.extend(node_lines)
+        for child in node.children:
+            j = index[id(child)]
+            tail, head = (i, j) if tree.direction == "forward" else (j, i)
+            edge_lines[j - 1] = f"  n{tail:016x} -> n{head:016x};"
     lines.extend(edge_lines)
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _walk(root: TreeNode) -> Iterator[tuple[tuple[str, ...], TreeNode, str | None]]:
-    """Preorder traversal yielding (prefix, node, parent node id)."""
-    stack: list[tuple[tuple[str, ...], TreeNode, str | None]] = [((root.label,), root, None)]
-    while stack:
-        prefix, node, parent_id = stack.pop()
-        yield prefix, node, parent_id
-        node_id = _node_id(prefix)
-        for child in reversed(node.children):
-            stack.append((prefix + (child.label,), child, node_id))
-
-
-def _node_id(prefix: tuple[str, ...]) -> str:
-    digest = hashlib.sha1("\x1f".join(prefix).encode("utf-8")).hexdigest()
-    return "n" + digest[:16]
 
 
 def _text_color(color: int) -> str:
@@ -100,7 +82,9 @@ def tree_to_structured(tree: AlertTree) -> str:
         payload = {"direction": tree.direction, "root": _node_to_obj(tree.root)}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     except RecursionError:
-        depth = max(len(prefix) for prefix, _, _ in _walk(tree.root))
+        depth, level = 0, [tree.root]
+        while level:
+            depth, level = depth + 1, [c for node in level for c in node.children]
         raise ValueError(f"tree is {depth} levels deep, too deep for JSON; use --dot") from None
 
 

@@ -120,6 +120,26 @@ def test_tree_too_deep_for_json_is_a_usage_error(capsys, store_dir, csv_feed, mo
     assert "600 levels deep" in err and "--dot" in err
 
 
+def test_tree_writes_no_file_unless_every_output_renders(
+    capsys, store_dir, csv_feed, tmp_path, monkeypatch
+):
+    ingest_fixture(capsys, store_dir, csv_feed)
+    monkeypatch.setattr(
+        "alertpaths.cli.build_forward_tree", lambda store, root: deep_chain_tree(600)
+    )
+    dot_file = tmp_path / "tree.dot"
+    json_file = tmp_path / "tree.json"
+    code, out, err = run(
+        capsys,
+        "tree", "--store", str(store_dir), "--root", "v1",
+        "--dot", str(dot_file), "--json", str(json_file),
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "600 levels deep" in err
+    assert not dot_file.exists() and not json_file.exists()
+
+
 def test_top_endpoints_paths_trees(capsys, store_dir, csv_feed):
     ingest_fixture(capsys, store_dir, csv_feed)
     code, out, _ = run(capsys, "top", "--store", str(store_dir),

@@ -149,6 +149,11 @@ def test_parse_csv_error_cases():
         parse_csv_line("v1,v2,1000")
     with pytest.raises(ParseError):
         parse_csv_line("v1,v2,soon,42")
+    # only plain ASCII decimal, which int() alone would widen
+    for line in ("a,b,1_000,2", "a,b, +7 ,\u0663", "a,b,7,\u0663", "a,b,+7,3",
+                 "a,b,\uff11\uff12,3", "a,b,12,\uff13", "a,b,-,3", "a,b,--1,3"):
+        with pytest.raises(ParseError):
+            parse_csv_line(line)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ import random
 
 import pytest
 
-from alertpaths.bench import build_store, generate_random
+from alertpaths.bench import build_store, build_store_with_reinsertion, generate_random
 from alertpaths.ingest import ingest_stream
 from alertpaths.maintenance import insert_alert, reinsert_alert
-from alertpaths.model import Alert, AlertTree, TreeNode
+from alertpaths.model import Alert, AlertTree, TreeNode, normalize_color
 from alertpaths.query import (
     build_backward_tree,
     build_forward_tree,
@@ -208,6 +208,30 @@ def test_tree_color_ordering_follows_scores():
         for (ets_b, color_b) in scored:
             if ets_a < ets_b:
                 assert color_a <= color_b
+
+
+def test_build_time_colors_scale_against_the_tree_maximum():
+    # Trees take their colour scale from the last arcs of the root's stored
+    # paths before any node exists; that is exact only because every tree
+    # node ends a stored path. Check it against the maximum over the
+    # finished tree, on plain and reinsertion-built stores.
+    stores = []
+    for seed in range(12):
+        alerts = generate_random(3 + seed % 5, 10 + 3 * seed, seed=900 + seed)
+        stores.append(build_store(alerts))
+        stores.append(build_store_with_reinsertion(alerts, (7 * seed) % len(alerts)))
+    trees = 0
+    for store in stores:
+        labels = sorted({v for p in store.paths() for v in p.vertices})
+        for label in labels:
+            for tree in (build_forward_tree(store, label), build_backward_tree(store, label)):
+                nodes = tree.nodes()
+                assert tree.root.ets is None and tree.root.color == 0x000000
+                max_ets = max(n.ets for n in nodes[1:]) if len(nodes) > 1 else 0.0
+                for node in nodes[1:]:
+                    assert node.color == normalize_color(node.ets, max_ets), (label, node.label)
+                trees += 1
+    assert trees > 200
 
 
 def test_sibling_order_best_path_first_then_label():

@@ -100,6 +100,28 @@ def test_dot_is_byte_deterministic():
     assert first == second
 
 
+def test_dot_ids_number_nodes_in_preorder():
+    store = build_store(generate_random(6, 30, seed=11))
+    labels = sorted({v for p in store.paths() for v in p.vertices})
+    for label in labels:
+        for tree in (build_forward_tree(store, label), build_backward_tree(store, label)):
+            nodes = tree.nodes()
+            dot = tree_to_dot(tree)
+            defined = re.findall(r'(n[0-9a-f]{16}) \[label="([^"]*)"', dot)
+            assert defined == [(f"n{i:016x}", n.label) for i, n in enumerate(nodes)]
+            edges = re.findall(r"(n[0-9a-f]{16}) -> (n[0-9a-f]{16});", dot)
+            assert len(edges) == len(nodes) - 1
+            # one edge per child, in the child's preorder, along the alert direction
+            expected = []
+            for i, node in enumerate(nodes):
+                for child in node.children:
+                    j = next(k for k, n in enumerate(nodes) if n is child)
+                    ends = (i, j) if tree.direction == "forward" else (j, i)
+                    expected.append((j, tuple(f"n{k:016x}" for k in ends)))
+            assert edges == [ends for _, ends in sorted(expected)]
+    assert tree_to_dot(deep_chain_tree(5000)).count(" -> ") == 4999
+
+
 def test_dot_escapes_quotes_in_labels():
     store = build_store([mk_alert('host"1', "host2", 1, seq=0)])
     dot = tree_to_dot(build_forward_tree(store, 'host"1'))

@@ -1,7 +1,8 @@
 """Repository tooling: the benchmark's feed generators match the package's,
 the README documents every CLI command, its library example runs, a slice
-of a benchmark session runs and passes the benchmark's checks, and the
-package imports only the standard library."""
+of a benchmark session runs and passes the benchmark's checks, CLI output
+does not depend on the interpreter's hash seed, and the package imports
+only the standard library."""
 
 from __future__ import annotations
 
@@ -110,6 +111,43 @@ def test_benchmark_session_slice_runs(tmp_path):
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.split() == ["ok", "11325"]
+
+
+# Every output-producing command, each run in a fresh interpreter from the
+# store directory, so relative paths keep the printed bytes comparable.
+CLI_SESSION = [
+    ["ingest", "--input", str(ROOT / "tests" / "data" / "random_seed7.csv"), "--format", "csv"],
+    ["tree", "--root", "v1"],
+    ["tree", "--root", "v2", "--direction", "backward", "--dot", "tree.dot"],
+    ["top", "--what", "endpoints", "--k", "5"],
+    ["top", "--what", "paths", "--k", "5"],
+    ["top", "--what", "trees", "--k", "3", "--direction", "backward"],
+    ["paths", "--origin", "v1", "--target", "v2"],
+    ["snapshot", "--output", "snap.jsonl"],
+]
+
+
+def test_cli_output_is_independent_of_the_hash_seed(tmp_path):
+    def session(hash_seed: str) -> list[bytes]:
+        workdir = tmp_path / hash_seed
+        workdir.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": hash_seed}
+        outputs = []
+        for argv in CLI_SESSION:
+            result = subprocess.run(
+                [sys.executable, "-m", "alertpaths.cli", *argv, "--store", "."],
+                cwd=workdir,
+                env=env,
+                capture_output=True,
+                timeout=60,
+            )
+            assert result.returncode == 0, (argv, result.stderr)
+            outputs.append(result.stdout)
+        return outputs + [(workdir / name).read_bytes() for name in ("tree.dot", "snap.jsonl")]
+
+    first = session("0")
+    assert first[1].startswith(b"{") and first[-2].startswith(b"digraph")
+    assert session("777") == first
 
 
 def test_package_imports_only_the_standard_library():
