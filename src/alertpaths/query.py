@@ -69,32 +69,35 @@ def _build_tree(store: AlertStore, root: str, direction: Direction) -> AlertTree
         sequences = [p.vertices for p in paths]
     else:
         paths = store.find_paths_ending_at(root)
-        sequences = [tuple(reversed(p.vertices)) for p in paths]
-    # Every tree node ends one of these paths, because the stored set is
-    # prefix- and suffix-closed, so their last arcs hold the tree's hottest
-    # ETS and each node is coloured as it is created. The root stays black.
+        sequences = [p.vertices[::-1] for p in paths]
+    # The stored set is prefix- and suffix-closed, so the tree's nodes are
+    # exactly the root and these sequences, and every proper prefix of one
+    # is a node too. Their last arcs hold the tree's hottest ETS, so each
+    # node is coloured as it is created. The root stays black.
     max_ets = max((_arc_ets(store, s[-2], s[-1], direction) for s in sequences), default=0.0)
     # Insertion order decides sibling order: best path first, then label.
     order = sorted(range(len(paths)), key=lambda i: (-paths[i].pts, sequences[i]))
 
     root_node = TreeNode(root)
-    children_of: dict[int, dict[str, TreeNode]] = {id(root_node): {}}
+    nodes: dict[tuple[str, ...], TreeNode] = {(root,): root_node}
     for i in order:
-        node = root_node
-        for label in sequences[i][1:]:
-            index = children_of[id(node)]
-            child = index.get(label)
-            if child is None:
-                ets = _arc_ets(store, node.label, label, direction)
-                child = TreeNode(label, ets, normalize_color(ets, max_ets))
-                node.children.append(child)
-                index[label] = child
-                children_of[id(child)] = {}
+        sequence = sequences[i]
+        if sequence in nodes:
+            continue  # created as the prefix of a better path
+        # climb to the deepest node that exists, then create the rest top-down
+        end = len(sequence) - 1
+        while (node := nodes.get(sequence[:end])) is None:
+            end -= 1
+        for end in range(end, len(sequence)):
+            ets = _arc_ets(store, sequence[end - 1], sequence[end], direction)
+            child = TreeNode(sequence[end], ets, normalize_color(ets, max_ets))
+            node.children.append(child)
+            nodes[sequence[: end + 1]] = child
             node = child
     return AlertTree(root_node, direction)
 
 
 def _arc_ets(store: AlertStore, parent: str, child: str, direction: Direction) -> float:
     # scoring raised StoreError already if a stored path's pair were missing
-    pair = (parent, child) if direction == "forward" else (child, parent)
-    return store.endpoint(EndpointPair(*pair)).ets
+    pair = EndpointPair(parent, child) if direction == "forward" else EndpointPair(child, parent)
+    return store.endpoint(pair).ets

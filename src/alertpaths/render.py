@@ -2,12 +2,16 @@
 
 All output here is byte-deterministic for equal inputs: DOT node
 identifiers number the nodes in preorder, children are emitted in stored
-order, and JSON is dumped with sorted keys.
+order, and structured JSON has the bytes of `json.dumps` with sorted keys
+and an indent of 2. Both tree writers walk a tree once with an explicit
+stack, so they render trees of any depth.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import reprlib
 
 from .model import AlertTree, PathRecord, TreeNode
 from .store import AlertStore, recompute_threat_scores
@@ -76,43 +80,104 @@ def _text_color(color: int) -> str:
 
 
 def tree_to_structured(tree: AlertTree) -> str:
-    """Lossless nested JSON serialization of a tree. Nesting recurses per
-    level, so past about 490 levels this raises `ValueError`; DOT does not."""
-    try:
-        payload = {"direction": tree.direction, "root": _node_to_obj(tree.root)}
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    except RecursionError:
-        depth, level = 0, [tree.root]
-        while level:
-            depth, level = depth + 1, [c for node in level for c in node.children]
-        raise ValueError(f"tree is {depth} levels deep, too deep for JSON; use --dot") from None
+    """Lossless nested JSON serialization of a tree, for trees of any depth.
+
+    The bytes are those of ``json.dumps(payload, sort_keys=True, indent=2)``
+    plus a newline, where each node is ``{"children": [...], "color":
+    "#RRGGBB", "ets": ..., "label": ...}``. One loop over an explicit stack
+    writes them, so the cost is linear in the output, and the output grows
+    with depth squared (about 14 bytes times depth squared for a chain)
+    because every level indents two more spaces.
+    """
+    pads = ["\n", "\n  ", "\n    "]  # pads[i] is a line break and i levels of indent
+    out = ['{\n  "direction": ', json.dumps(tree.direction), ',\n  "root": ']
+    # a node at level i has its braces at pads[i] and its keys at pads[i + 1]
+    stack: list[str | tuple[TreeNode, int]] = ["\n}\n", (tree.root, 1)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, level = item
+        inner = pads[level + 1]
+        tail = (
+            f'{inner}"color": "{color_hex(node.color)}",'
+            f'{inner}"ets": {json.dumps(node.ets)},'
+            f'{inner}"label": {json.dumps(node.label)}{pads[level]}}}'
+        )
+        if not node.children:
+            out.append(f'{{{inner}"children": [],{tail}')
+            continue
+        out.append(f'{{{inner}"children": [')
+        stack.append(f"{inner}],{tail}")
+        if len(pads) == level + 2:
+            pads += (pads[-1] + "  ", pads[-1] + "    ")
+        child_pad = pads[level + 2]
+        for child in reversed(node.children):
+            stack.append((child, level + 2))
+            stack.append("," + child_pad)
+        stack[-1] = child_pad  # no comma before the first child
+    return "".join(out)
 
 
 def tree_from_structured(text: str) -> AlertTree:
-    """Inverse of tree_to_structured, with the same depth limit."""
+    """Inverse of tree_to_structured.
+
+    Anything that is not such a document raises `ValueError`: bad JSON, a
+    missing key, a non-object node, a direction other than ``forward`` or
+    ``backward``, a non-string label, an ``ets`` that is neither null nor
+    a number, or a colour that is not ``#RRGGBB``. Reading goes through
+    `json.loads`, which recurses per nesting level, so text nested past
+    about 490 tree levels also raises `ValueError`.
+    """
     try:
         payload = json.loads(text)
     except RecursionError:
         raise ValueError("structured tree nests too deep to read") from None
-    return AlertTree(_node_from_obj(payload["root"]), payload["direction"])
+    direction = _member(payload, "direction")
+    if direction not in ("forward", "backward"):
+        raise ValueError(
+            f"direction must be 'forward' or 'backward', got {reprlib.repr(direction)}"
+        )
+    root_obj = _member(payload, "root")
+    root = _node_from_obj(root_obj)
+    stack = [(root, root_obj)]
+    while stack:
+        node, obj = stack.pop()
+        children = _member(obj, "children")
+        if not isinstance(children, list):
+            raise ValueError(f"children must be a list, got {reprlib.repr(children)}")
+        for child_obj in children:
+            child = _node_from_obj(child_obj)
+            node.children.append(child)
+            stack.append((child, child_obj))
+    return AlertTree(root, direction)
 
 
-def _node_to_obj(node: TreeNode) -> dict:
-    return {
-        "label": node.label,
-        "ets": node.ets,
-        "color": color_hex(node.color),
-        "children": [_node_to_obj(child) for child in node.children],
-    }
+_COLOR = re.compile(r"#[0-9A-Fa-f]{6}")
 
 
-def _node_from_obj(obj: dict) -> TreeNode:
-    return TreeNode(
-        label=obj["label"],
-        ets=obj["ets"],
-        color=int(obj["color"].lstrip("#"), 16),
-        children=[_node_from_obj(child) for child in obj["children"]],
-    )
+def _member(obj: object, key: str) -> object:
+    if not isinstance(obj, dict):
+        raise ValueError(
+            f"a structured tree and its nodes are JSON objects, got {reprlib.repr(obj)}"
+        )
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError(f"structured tree object has no {key!r}") from None
+
+
+def _node_from_obj(obj: object) -> TreeNode:
+    """One node without its children, its fields checked."""
+    label, ets, color = (_member(obj, key) for key in ("label", "ets", "color"))
+    if not isinstance(label, str):
+        raise ValueError(f"label must be a string, got {reprlib.repr(label)}")
+    if ets is not None and (type(ets) is bool or not isinstance(ets, (int, float))):
+        raise ValueError(f"ets must be null or a number, got {reprlib.repr(ets)}")
+    if not (isinstance(color, str) and _COLOR.fullmatch(color)):
+        raise ValueError(f"color must be '#RRGGBB', got {reprlib.repr(color)}")
+    return TreeNode(label, ets, int(color[1:], 16))
 
 
 # ---------------------------------------------------------------------------

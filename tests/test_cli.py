@@ -109,24 +109,27 @@ def test_tree_stdout_and_files(capsys, store_dir, csv_feed, tmp_path):
     assert json.loads(json_file.read_text())["direction"] == "backward"
 
 
-def test_tree_too_deep_for_json_is_a_usage_error(capsys, store_dir, csv_feed, monkeypatch):
+def test_tree_prints_structured_json_at_any_depth(capsys, store_dir, csv_feed, monkeypatch):
     ingest_fixture(capsys, store_dir, csv_feed)
     monkeypatch.setattr(
         "alertpaths.cli.build_forward_tree", lambda store, root: deep_chain_tree(600)
     )
     code, out, err = run(capsys, "tree", "--store", str(store_dir), "--root", "v1")
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert "600 levels deep" in err and "--dot" in err
+    assert code == EXIT_OK
+    assert err == ""
+    assert out == render.tree_to_structured(deep_chain_tree(600))
+    assert out.count('"label"') == 600
 
 
 def test_tree_writes_no_file_unless_every_output_renders(
     capsys, store_dir, csv_feed, tmp_path, monkeypatch
 ):
     ingest_fixture(capsys, store_dir, csv_feed)
-    monkeypatch.setattr(
-        "alertpaths.cli.build_forward_tree", lambda store, root: deep_chain_tree(600)
-    )
+
+    def unrenderable(tree):
+        raise ValueError("cannot render this tree")
+
+    monkeypatch.setattr("alertpaths.cli.tree_to_structured", unrenderable)
     dot_file = tmp_path / "tree.dot"
     json_file = tmp_path / "tree.json"
     code, out, err = run(
@@ -136,7 +139,7 @@ def test_tree_writes_no_file_unless_every_output_renders(
     )
     assert code == EXIT_USAGE
     assert out == ""
-    assert "600 levels deep" in err
+    assert "cannot render this tree" in err
     assert not dot_file.exists() and not json_file.exists()
 
 

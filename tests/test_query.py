@@ -6,11 +6,17 @@ import random
 
 import pytest
 
-from alertpaths.bench import build_store, build_store_with_reinsertion, generate_random
+from alertpaths.bench import (
+    build_store,
+    build_store_with_reinsertion,
+    generate_chain,
+    generate_random,
+)
 from alertpaths.ingest import ingest_stream
 from alertpaths.maintenance import insert_alert, reinsert_alert
-from alertpaths.model import Alert, AlertTree, TreeNode, normalize_color
+from alertpaths.model import Alert, AlertTree, EndpointPair, TreeNode, normalize_color
 from alertpaths.query import (
+    _build_tree,
     build_backward_tree,
     build_forward_tree,
     retrieve_paths,
@@ -232,6 +238,55 @@ def test_build_time_colors_scale_against_the_tree_maximum():
                     assert node.color == normalize_color(node.ets, max_ets), (label, node.label)
                 trees += 1
     assert trees > 200
+
+
+def per_vertex_trie(store: AlertStore, root: str, direction: str) -> AlertTree:
+    """Reference build: walk every vertex of every rooted path, best path
+    first, creating children through a per-node label index."""
+    recompute_threat_scores(store)
+    forward = direction == "forward"
+    paths = store.find_paths_starting_at(root) if forward else store.find_paths_ending_at(root)
+    sequences = [p.vertices if forward else tuple(reversed(p.vertices)) for p in paths]
+
+    def arc_ets(parent: str, child: str) -> float:
+        pair = EndpointPair(parent, child) if forward else EndpointPair(child, parent)
+        return store.endpoint(pair).ets
+
+    max_ets = max((arc_ets(s[-2], s[-1]) for s in sequences), default=0.0)
+    root_node = TreeNode(root)
+    children_of: dict[int, dict[str, TreeNode]] = {id(root_node): {}}
+    for i in sorted(range(len(paths)), key=lambda i: (-paths[i].pts, sequences[i])):
+        node = root_node
+        for label in sequences[i][1:]:
+            index = children_of[id(node)]
+            child = index.get(label)
+            if child is None:
+                ets = arc_ets(node.label, label)
+                child = TreeNode(label, ets, normalize_color(ets, max_ets))
+                node.children.append(child)
+                index[label] = child
+                children_of[id(child)] = {}
+            node = child
+    return AlertTree(root_node, direction)
+
+
+def test_prefix_linked_build_equals_the_per_vertex_trie():
+    # The build creates each node from its one-hop-shorter prefix's node,
+    # which exists only because the stored set is prefix- and suffix-closed.
+    stores = [build_store(generate_chain(40))]
+    for seed in range(12):
+        alerts = generate_random(3 + seed % 5, 10 + 3 * seed, seed=1300 + seed)
+        stores.append(build_store(alerts))
+        stores.append(build_store_with_reinsertion(alerts, (3 * seed) % len(alerts)))
+    trees = deep = 0
+    for store in stores:
+        for label in sorted({v for p in store.paths() for v in p.vertices}):
+            for direction in ("forward", "backward"):
+                tree = _build_tree(store, label, direction)
+                assert tree == per_vertex_trie(store, label, direction), (label, direction)
+                trees += 1
+                deep += len(tree.nodes()) > 10
+    assert trees > 200 and deep > 50
 
 
 def test_sibling_order_best_path_first_then_label():

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import re
+import sys
 
 import pytest
 
-from alertpaths.bench import build_store, generate_random
+from alertpaths.bench import (
+    build_store,
+    build_store_with_reinsertion,
+    generate_chain,
+    generate_random,
+)
+from alertpaths.ingest import ingest_stream
+from alertpaths.model import AlertTree, TreeNode
 from alertpaths.query import build_backward_tree, build_forward_tree, retrieve_paths
 from alertpaths.render import (
     color_hex,
@@ -16,9 +26,9 @@ from alertpaths.render import (
     tree_to_dot,
     tree_to_structured,
 )
-from alertpaths.store import recompute_threat_scores
+from alertpaths.store import AlertStore, recompute_threat_scores
 
-from conftest import deep_chain_tree, mk_alert
+from conftest import DATA_DIR, deep_chain_tree, mk_alert
 
 
 def sample_store():
@@ -161,17 +171,157 @@ def test_structured_is_byte_deterministic():
     assert a == b
 
 
-def test_structured_rejects_a_tree_too_deep_to_nest():
-    # structured JSON nests once per level; DOT does not
+def reference_structured(tree: AlertTree) -> str:
+    """The structured form as the stdlib encoder writes it from a nested
+    payload: the bytes `tree_to_structured` must reproduce."""
+
+    def node_to_obj(node: TreeNode) -> dict:
+        return {
+            "label": node.label,
+            "ets": node.ets,
+            "color": color_hex(node.color),
+            "children": [node_to_obj(child) for child in node.children],
+        }
+
+    payload = {"direction": tree.direction, "root": node_to_obj(tree.root)}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_structured_renders_any_depth_and_reads_to_the_json_limit():
+    # the writer keeps no stack of Python frames, so depth is not capped
     tree = deep_chain_tree(600)
-    with pytest.raises(ValueError, match=r"600 levels deep.*--dot"):
-        tree_to_structured(tree)
+    text = tree_to_structured(tree)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)  # the reference nests a frame per level
+    try:
+        expected = reference_structured(tree)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text == expected
     assert tree_to_dot(tree).count(" -> ") == 599
-    text = tree_to_structured(deep_chain_tree(400))  # below the limit it still renders
+    # reading goes through json.loads, which still recurses per level
+    with pytest.raises(ValueError, match="too deep"):
+        tree_from_structured(text)
+    text = tree_to_structured(deep_chain_tree(400))
     assert tree_to_structured(tree_from_structured(text)) == text
     nested = '{"direction": "forward", "root": ' + '{"children": [' * 600
     with pytest.raises(ValueError, match="too deep"):
         tree_from_structured(nested + "]}" * 600 + "}")
+
+
+def test_structured_bytes_equal_the_stdlib_encoder_on_built_trees():
+    stores = [build_store(generate_random(3 + seed % 5, 12 + 2 * seed, seed=300 + seed))
+              for seed in range(20)]
+    for seed in range(12):
+        alerts = generate_random(3 + seed % 4, 10 + 3 * seed, seed=700 + seed)
+        stores.append(build_store_with_reinsertion(alerts, (5 * seed) % len(alerts)))
+    stores.append(build_store(generate_chain(60)))
+    trees = 0
+    for store in stores:
+        labels = sorted({v for p in store.paths() for v in p.vertices})
+        for label in labels:
+            for tree in (build_forward_tree(store, label), build_backward_tree(store, label)):
+                assert tree_to_structured(tree) == reference_structured(tree), label
+                trees += 1
+    assert trees > 300
+
+
+def test_structured_bytes_equal_the_stdlib_encoder_on_awkward_scalars():
+    labels = ['quote"d', "back\\slash", "tab\tnul\x00bell\x07", "café", "line\u2028sep", "alert🚨"]
+    values = [None, 1.0, 1e16, 2**0.5, float("inf")]
+    root = TreeNode(labels[0], None, 0x000000)
+    for i, label in enumerate(labels[1:]):
+        child = TreeNode(label, values[i % len(values)], 0x0D0000 * i)
+        child.children.append(TreeNode(labels[-1 - i], values[-1 - i], 0xFF0000))
+        root.children.append(child)
+    for direction in ("forward", "backward"):
+        tree = AlertTree(root, direction)
+        text = tree_to_structured(tree)
+        assert text == reference_structured(tree)
+        assert tree_from_structured(text) == tree
+    # every scalar took a non-trivial path through the encoder
+    assert "\\u00e9" in text and "\\u2028" in text and "\\ud83d\\udea8" in text
+    assert "1e+16" in text and "Infinity" in text and "1.4142135623730951" in text
+
+
+def test_tree_bytes_match_recorded_digests():
+    # trees_seed7.sha256 holds the digests of every forward and backward
+    # tree of this store, as the nested-payload `json.dumps` writer and the
+    # per-vertex trie build produced them; tree output bytes must not drift.
+    store = AlertStore()
+    feed = (DATA_DIR / "random_seed7.csv").read_text(encoding="utf-8").splitlines()
+    ingest_stream(store, feed, fmt="csv")
+    lines = []
+    for root in sorted({v for record in store.endpoints() for v in record.pair}):
+        for direction, build in (("forward", build_forward_tree), ("backward", build_backward_tree)):
+            tree = build(store, root)
+            for fmt, render in (("json", tree_to_structured), ("dot", tree_to_dot)):
+                digest = hashlib.sha256(render(tree).encode("utf-8")).hexdigest()
+                lines.append(f"{digest}  {direction} {root} {fmt}")
+    assert lines == (DATA_DIR / "trees_seed7.sha256").read_text(encoding="utf-8").splitlines()
+
+
+def _structured(**changes: object) -> str:
+    node = {"children": [], "color": "#0D0000", "ets": 1.0, "label": "b"}
+    root = {"children": [node], "color": "#000000", "ets": None, "label": "a"}
+    payload = {"direction": "forward", "root": root}
+    for key, value in changes.items():
+        where, _, field = key.partition("__")
+        target = {"tree": payload, "root": root, "node": node}[where]
+        if value is MISSING:
+            del target[field]
+        else:
+            target[field] = value
+    return json.dumps(payload)
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("[]", id="tree-not-object"),
+        pytest.param('"forward"', id="tree-string"),
+        pytest.param(_structured(tree__direction=MISSING), id="no-direction"),
+        pytest.param(_structured(tree__root=MISSING), id="no-root"),
+        pytest.param(_structured(tree__root=["a"]), id="root-not-object"),
+        pytest.param(_structured(tree__direction="sideways"), id="direction-sideways"),
+        pytest.param(_structured(tree__direction="Forward"), id="direction-case"),
+        pytest.param(_structured(tree__direction=None), id="direction-null"),
+        pytest.param(_structured(root__children=MISSING), id="no-children"),
+        pytest.param(_structured(root__children={}), id="children-not-list"),
+        pytest.param(_structured(root__children=[7]), id="child-not-object"),
+        pytest.param(_structured(node__label=MISSING), id="no-label"),
+        pytest.param(_structured(node__ets=MISSING), id="no-ets"),
+        pytest.param(_structured(node__color=MISSING), id="no-color"),
+        pytest.param(_structured(node__label=7), id="label-number"),
+        pytest.param(_structured(node__label=None), id="label-null"),
+        pytest.param(_structured(node__ets="1.0"), id="ets-string"),
+        pytest.param(_structured(node__ets=True), id="ets-bool"),
+        pytest.param(_structured(node__ets=[1.0]), id="ets-list"),
+        pytest.param(_structured(node__color=13), id="color-number"),
+        pytest.param(_structured(node__color="0D0000"), id="color-no-hash"),
+        pytest.param(_structured(node__color="#D0000"), id="color-short"),
+        pytest.param(_structured(node__color="##0D0000"), id="color-two-hashes"),
+        pytest.param(_structured(node__color="#0x0D00"), id="color-0x"),
+        pytest.param(_structured(node__color="#0D_000"), id="color-underscore"),
+        pytest.param(_structured(node__color="#0D0000 "), id="color-space"),
+        pytest.param(_structured(node__color="#GG0000"), id="color-not-hex"),
+        pytest.param("{", id="not-json"),
+    ],
+)
+def test_structured_reader_rejects_malformed_trees(text):
+    with pytest.raises(ValueError):
+        tree_from_structured(text)
+
+
+def test_structured_reader_accepts_its_own_form():
+    tree = tree_from_structured(_structured())
+    assert tree == AlertTree(
+        TreeNode("a", None, 0, [TreeNode("b", 1.0, 0x0D0000)]), "forward"
+    )
+    assert tree_from_structured(_structured(node__color="#0d0000")).root.children[0].color == 0x0D0000
 
 
 # ---------------------------------------------------------------------------
