@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = add("paths", "paths between two endpoints, best first", _cmd_paths)
     cmd.add_argument("--origin", required=True)
     cmd.add_argument("--target", required=True)
-    cmd.add_argument("--top", type=int, default=None, help="limit to the best K paths")
+    cmd.add_argument("--top", type=_count, default=None, help="limit to the best K paths")
 
     cmd = add("tree", "reconstruct an alert tree", _cmd_tree)
     cmd.add_argument("--root", required=True)
@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cmd = add("top", "ranked endpoints, paths, or trees", _cmd_top)
     cmd.add_argument("--what", choices=("endpoints", "paths", "trees"), required=True)
-    cmd.add_argument("--k", type=int, required=True)
+    cmd.add_argument("--k", type=_count, required=True)
     cmd.add_argument("--direction", choices=("forward", "backward"), default="forward")
 
     add("stats", "store size counters", _cmd_stats)
@@ -111,6 +111,13 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--n", type=int, required=True, help="chain length in alerts")
 
     return parser
+
+
+def _count(text: str) -> int:
+    """Argument type of ``--top`` and ``--k``: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -141,25 +148,18 @@ def _locked(directory: Path, exclusive: bool):
         handle.close()
 
 
-def _open_store(directory: Path, must_exist: bool) -> AlertStore:
-    store = AlertStore()
-    snapshot = directory / STORE_FILENAME
-    if snapshot.exists():
-        store.load(snapshot)
-    elif must_exist:
-        raise StoreError(f"no store at {directory} (expected {snapshot})")
-    return store
-
-
 def _read_store(args: argparse.Namespace) -> AlertStore:
     """The store of a read-only command, loaded under a shared lock."""
     directory = _store_dir(args)
+    snapshot = directory / STORE_FILENAME
+    # checked before locking, which creates the directory; a snapshot is
+    # only ever replaced by rename, so it still exists under the lock
+    if not snapshot.exists():
+        raise StoreError(f"no store at {directory} (expected {snapshot})")
+    store = AlertStore()
     with _locked(directory, exclusive=False):
-        return _open_store(directory, must_exist=True)
-
-
-def _save_store(store: AlertStore, directory: Path) -> None:
-    store.snapshot(directory / STORE_FILENAME)
+        store.load(snapshot)
+    return store
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +169,11 @@ def _save_store(store: AlertStore, directory: Path) -> None:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     directory = _store_dir(args)
+    snapshot = directory / STORE_FILENAME
     with _locked(directory, exclusive=True):
-        store = _open_store(directory, must_exist=False)
+        store = AlertStore()
+        if snapshot.exists():
+            store.load(snapshot)
         with open(args.input, "r", encoding="utf-8") as feed:
             report = ingest_stream(
                 store,
@@ -180,7 +183,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                 strict=args.strict,
                 progress=_progress,
             )
-        _save_store(store, directory)
+        store.snapshot(snapshot)
     for line_no, message in report.errors:
         print(f"line {line_no}: {message}", file=sys.stderr)
     print(json.dumps(report.to_dict(), sort_keys=True))
@@ -189,11 +192,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _cmd_paths(args: argparse.Namespace) -> int:
     store = _read_store(args)
-    found = retrieve_paths(store, args.origin, args.target)
-    if args.top is not None:
-        if args.top < 0:
-            raise ValueError(f"--top must be non-negative, got {args.top}")
-        found = found[: args.top]
+    found = retrieve_paths(store, args.origin, args.target)[: args.top]  # None keeps all
     sys.stdout.write(paths_to_table(found, store))
     return EXIT_OK
 
@@ -265,7 +264,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
     with _locked(directory, exclusive=True):
         store = AlertStore()
         store.load(args.input)
-        _save_store(store, directory)
+        store.snapshot(directory / STORE_FILENAME)
     stats = store.stats()
     print(
         json.dumps(

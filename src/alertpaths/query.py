@@ -47,11 +47,11 @@ def top_trees(store: AlertStore, k: int, direction: Direction = "forward") -> li
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     recompute_threat_scores(store)
+    end = 0 if direction == "forward" else -1
     best: dict[str, float] = {}
     for path in store.paths():
-        root = path.origin if direction == "forward" else path.target
-        score = best.get(root)
-        if score is None or path.pts > score:
+        root = path.vertices[end]
+        if path.pts > best.get(root, 0.0):  # every scored path has PTS >= 1
             best[root] = path.pts
     roots = sorted(best, key=lambda r: (-best[r], r))[:k]
     return [_build_tree(store, root, direction) for root in roots]
@@ -64,7 +64,8 @@ def top_trees(store: AlertStore, k: int, direction: Direction = "forward") -> li
 
 def _build_tree(store: AlertStore, root: str, direction: Direction) -> AlertTree:
     recompute_threat_scores(store)
-    if direction == "forward":
+    forward = direction == "forward"
+    if forward:
         paths = store.find_paths_starting_at(root)
         sequences = [p.vertices for p in paths]
     else:
@@ -72,10 +73,7 @@ def _build_tree(store: AlertStore, root: str, direction: Direction) -> AlertTree
         sequences = [p.vertices[::-1] for p in paths]
     # The stored set is prefix- and suffix-closed, so the tree's nodes are
     # exactly the root and these sequences, and every proper prefix of one
-    # is a node too. Their last arcs hold the tree's hottest ETS, so each
-    # node is coloured as it is created. The root stays black.
-    max_ets = max((_arc_ets(store, s[-2], s[-1], direction) for s in sequences), default=0.0)
-    # Insertion order decides sibling order: best path first, then label.
+    # is a node too. Siblings keep insertion order: best path first, then label.
     order = sorted(range(len(paths)), key=lambda i: (-paths[i].pts, sequences[i]))
 
     root_node = TreeNode(root)
@@ -89,15 +87,16 @@ def _build_tree(store: AlertStore, root: str, direction: Direction) -> AlertTree
         while (node := nodes.get(sequence[:end])) is None:
             end -= 1
         for end in range(end, len(sequence)):
-            ets = _arc_ets(store, sequence[end - 1], sequence[end], direction)
-            child = TreeNode(sequence[end], ets, normalize_color(ets, max_ets))
+            parent, label = sequence[end - 1], sequence[end]
+            pair = EndpointPair(parent, label) if forward else EndpointPair(label, parent)
+            # scoring raised StoreError already if a stored path's pair were missing
+            child = TreeNode(label, store.endpoint(pair).ets)
             node.children.append(child)
             nodes[sequence[: end + 1]] = child
             node = child
+    # the nodes' ETS values are the tree's colour scale; the root stays black
+    created = list(nodes.values())[1:]
+    max_ets = max((node.ets for node in created), default=0.0)
+    for node in created:
+        node.color = normalize_color(node.ets, max_ets)
     return AlertTree(root_node, direction)
-
-
-def _arc_ets(store: AlertStore, parent: str, child: str, direction: Direction) -> float:
-    # scoring raised StoreError already if a stored path's pair were missing
-    pair = EndpointPair(parent, child) if direction == "forward" else EndpointPair(child, parent)
-    return store.endpoint(pair).ets

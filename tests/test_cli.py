@@ -254,6 +254,43 @@ def test_exit_codes_distinct(capsys, store_dir, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["paths", "--origin", "a", "--target", "b"],
+        ["tree", "--root", "a"],
+        ["top", "--what", "trees", "--k", "1"],
+        ["stats"],
+        ["snapshot", "--output", "out.jsonl"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_read_only_commands_leave_a_missing_store_uncreated(capsys, tmp_path, argv):
+    missing = tmp_path / "missing"
+    code, _, err = run(capsys, *argv, "--store", str(missing))
+    assert code == EXIT_STORE
+    assert "no store" in err
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["paths", "--origin", "a", "--target", "b", "--top", "-1"],
+        ["top", "--what", "paths", "--k", "-1"],
+        ["top", "--what", "trees", "--k", "x"],
+    ],
+    ids=["paths-top", "top-k", "top-k-not-a-number"],
+)
+def test_bad_counts_are_usage_errors_before_any_load(capsys, tmp_path, argv):
+    missing = tmp_path / "missing"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--store", str(missing)])
+    assert exc.value.code == EXIT_USAGE
+    assert "non-negative integer" in capsys.readouterr().err
+    assert not missing.exists()
+
+
 def test_non_strict_ingest_counts_bad_lines(capsys, store_dir, tmp_path):
     feed = tmp_path / "mixed.csv"
     feed.write_text("v1,v2,1000,1\ngarbage line\nv2,v3,2000,1\n", encoding="utf-8")

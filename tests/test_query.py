@@ -217,10 +217,10 @@ def test_tree_color_ordering_follows_scores():
 
 
 def test_build_time_colors_scale_against_the_tree_maximum():
-    # Trees take their colour scale from the last arcs of the root's stored
-    # paths before any node exists; that is exact only because every tree
-    # node ends a stored path. Check it against the maximum over the
-    # finished tree, on plain and reinsertion-built stores.
+    # Every non-root node is coloured against the hottest arc of its own
+    # tree, on plain and reinsertion-built stores. (The per-vertex reference
+    # below takes that maximum from the root's paths instead; the two agree
+    # because every tree node ends a stored path.)
     stores = []
     for seed in range(12):
         alerts = generate_random(3 + seed % 5, 10 + 3 * seed, seed=900 + seed)
@@ -287,6 +287,32 @@ def test_prefix_linked_build_equals_the_per_vertex_trie():
                 trees += 1
                 deep += len(tree.nodes()) > 10
     assert trees > 200 and deep > 50
+
+
+def test_tree_build_looks_up_each_arc_score_once(monkeypatch):
+    # Nodes are coloured after the build from the scores they were created
+    # with, so no arc's ETS is read a second time.
+    store = build_store(generate_chain(40))
+    recompute_threat_scores(store)
+    calls = 0
+    lookup = store.endpoint
+
+    def counting_endpoint(pair):
+        nonlocal calls
+        calls += 1
+        return lookup(pair)
+
+    monkeypatch.setattr(store, "endpoint", counting_endpoint)
+    labels = sorted({v for p in store.paths() for v in p.vertices})
+    non_root = 0
+    for label in labels:
+        for build in (build_forward_tree, build_backward_tree):
+            before = calls
+            tree = build(store, label)
+            created = len(tree.nodes()) - 1
+            assert calls - before == created, (label, build.__name__)
+            non_root += created
+    assert non_root > 1000
 
 
 def test_sibling_order_best_path_first_then_label():
