@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -32,6 +33,7 @@ EXIT_STORE = 4
 STORE_ENV_VAR = "ALERTPATHS_STORE"
 STORE_FILENAME = "store.jsonl"
 LOCK_FILENAME = ".lock"
+_DIGITS = re.compile(r"[0-9]+")  # ASCII only, as in the CSV parser's time and id
 
 try:
     import fcntl
@@ -115,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _count(text: str) -> int:
     """Argument type of ``--top`` and ``--k``: a non-negative integer."""
-    if not text.isdecimal():
+    if not _DIGITS.fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 
@@ -170,19 +172,19 @@ def _read_store(args: argparse.Namespace) -> AlertStore:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     directory = _store_dir(args)
     snapshot = directory / STORE_FILENAME
-    with _locked(directory, exclusive=True):
+    # the feed is opened before locking, which creates the store directory
+    with open(args.input, "r", encoding="utf-8") as feed, _locked(directory, exclusive=True):
         store = AlertStore()
         if snapshot.exists():
             store.load(snapshot)
-        with open(args.input, "r", encoding="utf-8") as feed:
-            report = ingest_stream(
-                store,
-                feed,
-                fmt=args.format,
-                mode=args.mode,
-                strict=args.strict,
-                progress=_progress,
-            )
+        report = ingest_stream(
+            store,
+            feed,
+            fmt=args.format,
+            mode=args.mode,
+            strict=args.strict,
+            progress=_progress,
+        )
         store.snapshot(snapshot)
     for line_no, message in report.errors:
         print(f"line {line_no}: {message}", file=sys.stderr)
@@ -261,9 +263,9 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
 
 def _cmd_load(args: argparse.Namespace) -> int:
     directory = _store_dir(args)
+    store = AlertStore()
+    store.load(args.input)  # before locking, so a bad input leaves no directory
     with _locked(directory, exclusive=True):
-        store = AlertStore()
-        store.load(args.input)
         store.snapshot(directory / STORE_FILENAME)
     stats = store.stats()
     print(

@@ -15,7 +15,7 @@ import csv
 import json
 import re
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from typing import Callable, Iterable, Literal
 
 from .errors import OutOfOrderError, ParseError
@@ -23,8 +23,12 @@ from .maintenance import insert_alert, reinsert_alert
 from .model import Alert
 from .store import AlertStore
 
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_OFFSET_NO_COLON = re.compile(r"([+-]\d{2})(\d{2})$")
+_EPOCH = datetime(1970, 1, 1)  # read as UTC; the offset is applied separately
+_MICROSECOND = timedelta(microseconds=1)
+_TIMESTAMP = re.compile(
+    r"([0-9]{4})-([0-9]{2})-([0-9]{2})[T ]([0-9]{2}):([0-9]{2}):([0-9]{2})"
+    r"(?:\.([0-9]{1,6}))?([Zz]|([+-])([01][0-9]|2[0-3]):?([0-5][0-9]))?"
+)
 _DECIMAL = re.compile(r"-?[0-9]+")  # not int()'s syntax: no sign "+", "_" or non-ASCII digits
 _PROGRESS_EVERY = 1000
 
@@ -60,21 +64,28 @@ class IngestReport:
 def parse_timestamp(text: str) -> int:
     """ISO 8601 timestamp with offset -> epoch microseconds (exact integer).
 
-    Suricata writes offsets without a colon ("+0000"); both forms are
-    accepted. Sub-second digits are optional and padded to microseconds.
+    The grammar is fixed here rather than left to `datetime.fromisoformat`,
+    whose grammar differs between Python versions: ``YYYY-MM-DD``, ``T`` or a
+    space, ``HH:MM:SS``, an optional ``.`` with 1-6 digits padded to
+    microseconds, then ``Z``/``z``, ``+HH:MM`` or Suricata's ``+HHMM`` (or
+    ``-``). Anything else, an out-of-range field included, raises
+    `ParseError`.
     """
-    normalized = text.strip()
-    if normalized.endswith(("Z", "z")):
-        normalized = normalized[:-1] + "+00:00"
-    else:
-        normalized = _OFFSET_NO_COLON.sub(r"\1:\2", normalized)
+    match = _TIMESTAMP.fullmatch(text.strip())
+    if match is None:
+        raise ParseError(f"unparsable timestamp {text!r}")
+    *fields, fraction, zone, sign, offset_hours, offset_minutes = match.groups()
+    if zone is None:
+        raise ParseError(f"timestamp {text!r} has no UTC offset")
     try:
-        moment = datetime.fromisoformat(normalized)
+        moment = datetime(*map(int, fields), int(fraction.ljust(6, "0")) if fraction else 0)
     except ValueError:
         raise ParseError(f"unparsable timestamp {text!r}")
-    if moment.tzinfo is None:
-        raise ParseError(f"timestamp {text!r} has no UTC offset")
-    return (moment - _EPOCH) // timedelta(microseconds=1)
+    micros = (moment - _EPOCH) // _MICROSECOND
+    if sign is None:  # Z or z
+        return micros
+    offset = (int(offset_hours) * 60 + int(offset_minutes)) * 60_000_000
+    return micros + offset if sign == "-" else micros - offset
 
 
 def parse_eve_line(line: str) -> Alert | None:

@@ -7,8 +7,9 @@ the new alert is the latest element of the (time, seq) order, so every
 lengthened path is feasible by construction. Late alerts go through
 `reinsert_alert`. A late arc joins a stored prefix and suffix into a new
 path only where no other alert on its pair could join them, so it picks
-those prefixes and suffixes by their greedy keys and joins them without
-checking any combination against the store; its work follows the paths it
+those prefixes and suffixes by their greedy keys, each computed by one walk
+over the end's pairs, and joins them without checking any combination
+against the store; beyond those walks, its work follows the paths it
 creates. Neither scores anything: each mutation marks the store's cached
 scores stale, and the store refreshes them when they are next read.
 """
@@ -80,25 +81,16 @@ def reinsert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
     checked against the store.
 
     Each end is first pruned in O(1) on the keys of the pair next to the
-    arc, and suffixes are read only when some prefix qualifies. e and l are
-    memoized through the one-hop-shorter prefix and suffix, which the store
-    holds because its path set is prefix- and suffix-closed. New paths are
-    inserted shortest first, so each comes after its one-hop-shorter
-    prefix, which is stored or new and shorter, as `insert_path` requires.
+    arc, and suffixes are read only when some prefix qualifies. An end that
+    passes the prune is walked once, hop by hop, over its pairs' sorted
+    keys, which are read once per call. New paths are inserted shortest
+    first, so each comes after its one-hop-shorter prefix, which is stored
+    or new and shorter, as `insert_path` requires.
     """
     source, dest = alert.source, alert.destination
-    record = store.endpoint(alert.pair)
-    old = [] if record is None else sorted(a.key for a in record.alerts)
     _, created = store.upsert_endpoint(alert)
     if source == dest:
         return InsertOutcome(int(created), 0)
-
-    key = alert.key
-    at = bisect_left(old, key)
-    # keys are unique, so k_prev < e(L) < k and k < l(R) < k_next hold strictly;
-    # an infinite one-element tuple stands in for a missing neighbour
-    lo = old[at - 1] if at else (-math.inf,)
-    hi = old[at] if at < len(old) else (math.inf,)
 
     sorted_keys: dict[tuple[str, ...], list[OrderKey]] = {}
 
@@ -108,20 +100,21 @@ def reinsert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
             found = sorted_keys[pair] = sorted(a.key for a in store.endpoint(pair).alerts)
         return found
 
-    earliest: dict[tuple[str, ...], OrderKey] = {}
-
+    # keys are unique across the store, so bisect_left and bisect_right agree in a walk
     def earliest_of(vertices: tuple[str, ...]) -> OrderKey:
-        pending = []
-        while len(vertices) > 2 and vertices not in earliest:
-            pending.append(vertices)
-            vertices = vertices[:-1]
-        found = earliest.get(vertices)
-        if found is None:
-            found = earliest[vertices] = keys_of(vertices)[0]
-        for longer in reversed(pending):
-            keys = keys_of(longer[-2:])
-            found = earliest[longer] = keys[bisect_right(keys, found)]
+        found = keys_of(vertices[:2])[0]
+        for hop in range(1, len(vertices) - 1):
+            keys = keys_of(vertices[hop : hop + 2])
+            found = keys[bisect_right(keys, found)]
         return found
+
+    key = alert.key
+    pair_keys = keys_of(alert.pair)
+    at = bisect_left(pair_keys, key)
+    # k_prev < e(L) < k and k < l(R) < k_next hold strictly; an infinite
+    # one-element tuple stands in for a missing neighbour
+    lo = pair_keys[at - 1] if at else (-math.inf,)
+    hi = pair_keys[at + 1] if at + 1 < len(pair_keys) else (math.inf,)
 
     lefts = [(source,)] if at == 0 else []
     for path in store.find_paths_ending_at(source):
@@ -134,22 +127,14 @@ def reinsert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
     if not lefts:
         return InsertOutcome(int(created), 0)
 
-    latest: dict[tuple[str, ...], OrderKey] = {}
-
     def latest_of(vertices: tuple[str, ...]) -> OrderKey:
-        pending = []
-        while len(vertices) > 2 and vertices not in latest:
-            pending.append(vertices)
-            vertices = vertices[1:]
-        found = latest.get(vertices)
-        if found is None:
-            found = latest[vertices] = keys_of(vertices)[-1]
-        for longer in reversed(pending):
-            keys = keys_of(longer[:2])
-            found = latest[longer] = keys[bisect_left(keys, found) - 1]
+        found = keys_of(vertices[-2:])[-1]
+        for hop in range(len(vertices) - 3, -1, -1):
+            keys = keys_of(vertices[hop : hop + 2])
+            found = keys[bisect_left(keys, found) - 1]
         return found
 
-    rights = [(dest,)] if at == len(old) else []
+    rights = [(dest,)] if at + 1 == len(pair_keys) else []
     for path in store.find_paths_starting_at(dest):
         vertices = path.vertices
         keys = keys_of(vertices[:2])

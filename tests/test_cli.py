@@ -8,7 +8,7 @@ import pytest
 
 from alertpaths import maintenance, query, render
 from alertpaths import store as store_module
-from alertpaths.cli import EXIT_OK, EXIT_PARSE, EXIT_STORE, EXIT_USAGE, main
+from alertpaths.cli import EXIT_ERROR, EXIT_OK, EXIT_PARSE, EXIT_STORE, EXIT_USAGE, main
 
 from conftest import deep_chain_tree
 
@@ -279,8 +279,9 @@ def test_read_only_commands_leave_a_missing_store_uncreated(capsys, tmp_path, ar
         ["paths", "--origin", "a", "--target", "b", "--top", "-1"],
         ["top", "--what", "paths", "--k", "-1"],
         ["top", "--what", "trees", "--k", "x"],
+        ["top", "--what", "trees", "--k", "\u0663"],  # Arabic-Indic three
     ],
-    ids=["paths-top", "top-k", "top-k-not-a-number"],
+    ids=["paths-top", "top-k", "top-k-not-a-number", "top-k-non-ascii-digit"],
 )
 def test_bad_counts_are_usage_errors_before_any_load(capsys, tmp_path, argv):
     missing = tmp_path / "missing"
@@ -288,6 +289,18 @@ def test_bad_counts_are_usage_errors_before_any_load(capsys, tmp_path, argv):
         main([*argv, "--store", str(missing)])
     assert exc.value.code == EXIT_USAGE
     assert "non-negative integer" in capsys.readouterr().err
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize(
+    "command, exit_code",
+    [("ingest", EXIT_ERROR), ("load", EXIT_STORE)],
+)
+def test_missing_input_leaves_the_store_uncreated(capsys, tmp_path, command, exit_code):
+    missing = tmp_path / "missing"
+    code, _, _ = run(capsys, command, "--store", str(missing),
+                     "--input", str(tmp_path / "absent.jsonl"))
+    assert code == exit_code
     assert not missing.exists()
 
 

@@ -75,6 +75,52 @@ def test_timestamp_garbage_rejected():
         parse_timestamp("not-a-time")
 
 
+_TEN_UTC = calendar.timegm((2018, 2, 21, 10, 0, 0)) * 1_000_000
+
+
+@pytest.mark.parametrize(
+    "text, micros",
+    [
+        ("2018-02-21T10:00:00+0000", _TEN_UTC),
+        ("2018-02-21T10:00:00.5+00:00", _TEN_UTC + 500_000),
+        ("2018-02-21T10:00:00.25z", _TEN_UTC + 250_000),
+        ("2018-02-21 10:00:00.000001Z", _TEN_UTC + 1),
+        ("2018-02-21T11:30:00.123456+0130", _TEN_UTC + 123_456),
+        ("2018-02-21T05:00:00-05:00", _TEN_UTC),
+        ("2018-02-21T10:00:00-0000", _TEN_UTC),
+        (" 2018-02-21T10:00:00Z\n", _TEN_UTC),
+    ],
+)
+def test_timestamp_grammar_values(text, micros):
+    assert parse_timestamp(text) == micros
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2018-W08-3T10:00:00+00:00",  # week date
+        "2018-02-21T10:00:00,5+00:00",  # comma fraction
+        "20180221T100000+0000",  # basic format
+        "2018-02-21T10:00:00.1234567+00:00",  # more than six fraction digits
+        "2018-02-21T10:00:00.+00:00",  # empty fraction
+        "2018-02-21T10+00:00",  # hour only
+        "2018-02-21T10:00+00:00",  # minutes only
+        "2018-02-21T10:00:00+00",  # offset hours only
+        "2018-02-21T10:00:00+00:00:00",  # offset seconds
+        "2018-02-21T10:00:00+00:60",
+        "2018-02-21T10:00:00+24:00",
+        "2018-02-30T10:00:00+00:00",
+        "2018-02-21T24:00:00+00:00",
+        "٢٠١٨-02-21T10:00:00+00:00",  # Arabic-Indic digits
+        "2018-02-21",
+        "2018-02-21T10:00:00.000001",  # no offset
+    ],
+)
+def test_timestamp_grammar_rejections(text):
+    with pytest.raises(ParseError):
+        parse_timestamp(text)
+
+
 # ---------------------------------------------------------------------------
 # line parsers
 # ---------------------------------------------------------------------------

@@ -151,9 +151,9 @@ def test_index_consistency_on_random_instance():
 
 def test_child_symmetry_on_random_instance():
     # A path's children are its stored one-step extensions. insert_alert
-    # finds them with has_path, and reinsert_alert memoizes its window keys
-    # through a path's one-hop-shorter prefix and suffix; both are exact only
-    # if the stored set is closed under dropping the last or first vertex.
+    # finds them with has_path, and reinsert_alert looks for a new path's
+    # prefix and suffix among the stored paths; both are exact only if the
+    # stored set is closed under dropping the last or first vertex.
     store = seeded_store()
     for path in store.paths():
         if len(path.vertices) > 2:
