@@ -2,9 +2,13 @@
 
 Machine-readable results go to stdout, diagnostics to stderr. The store
 lives in a directory (``--store`` or the ALERTPATHS_STORE environment
-variable) holding one snapshot file; commands that mutate it take an
-exclusive lock, read-only commands a shared one. Exit codes: 0 success,
-2 argument errors, 3 parse errors, 4 store errors, 1 anything else.
+variable) holding one snapshot file, the alert log; commands that mutate it
+take an exclusive lock, read-only commands a shared one. Only ``ingest``
+and ``load`` replay the log into an `AlertStore`. The read-only commands
+(``paths``, ``tree``, ``top``, ``stats``, ``snapshot``) read it into an
+`AlertLog`, which derives just the paths each answer needs, so they never
+hold the path set. Exit codes: 0 success, 2 argument errors, 3 parse
+errors, 4 store errors, 1 anything else.
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ import sys
 from pathlib import Path
 
 from . import bench
+from .derivation import AlertLog
 from .errors import ParseError, StoreError
-from .ingest import ingest_stream
+from .ingest import fold_alerts, parse_feed
 from .query import build_backward_tree, build_forward_tree, retrieve_paths, top_trees
 from .render import color_hex, format_score, paths_to_table, tree_to_dot, tree_to_structured
 from .store import AlertStore
@@ -150,18 +155,16 @@ def _locked(directory: Path, exclusive: bool):
         handle.close()
 
 
-def _read_store(args: argparse.Namespace) -> AlertStore:
-    """The store of a read-only command, loaded under a shared lock."""
+def _read_log(args: argparse.Namespace) -> AlertLog:
+    """The alert log of a read-only command, read under a shared lock."""
     directory = _store_dir(args)
     snapshot = directory / STORE_FILENAME
     # checked before locking, which creates the directory; a snapshot is
     # only ever replaced by rename, so it still exists under the lock
     if not snapshot.exists():
         raise StoreError(f"no store at {directory} (expected {snapshot})")
-    store = AlertStore()
     with _locked(directory, exclusive=False):
-        store.load(snapshot)
-    return store
+        return AlertLog.read(snapshot)
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +175,15 @@ def _read_store(args: argparse.Namespace) -> AlertStore:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     directory = _store_dir(args)
     snapshot = directory / STORE_FILENAME
-    # the feed is opened before locking, which creates the store directory
-    with open(args.input, "r", encoding="utf-8") as feed, _locked(directory, exclusive=True):
+    # the feed is read and parsed before locking, which creates the store
+    # directory, so a missing or (with --strict) bad feed creates nothing
+    with open(args.input, "r", encoding="utf-8") as feed:
+        parsed, report = parse_feed(feed, fmt=args.format, strict=args.strict)
+    with _locked(directory, exclusive=True):
         store = AlertStore()
         if snapshot.exists():
             store.load(snapshot)
-        report = ingest_stream(
-            store,
-            feed,
-            fmt=args.format,
-            mode=args.mode,
-            strict=args.strict,
-            progress=_progress,
-        )
+        fold_alerts(store, parsed, report, mode=args.mode, progress=_progress)
         store.snapshot(snapshot)
     for line_no, message in report.errors:
         print(f"line {line_no}: {message}", file=sys.stderr)
@@ -193,16 +192,16 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_paths(args: argparse.Namespace) -> int:
-    store = _read_store(args)
-    found = retrieve_paths(store, args.origin, args.target)[: args.top]  # None keeps all
-    sys.stdout.write(paths_to_table(found, store))
+    log = _read_log(args)
+    found = retrieve_paths(log, args.origin, args.target)[: args.top]  # None keeps all
+    sys.stdout.write(paths_to_table(found, log))
     return EXIT_OK
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
-    store = _read_store(args)
+    log = _read_log(args)
     build = build_forward_tree if args.direction == "forward" else build_backward_tree
-    tree = build(store, args.root)
+    tree = build(log, args.root)
     # render every requested output before writing any, so a failure writes none
     renders = ((args.dot, tree_to_dot), (args.json, tree_to_structured))
     outputs = [(path, render(tree)) for path, render in renders if path]
@@ -214,19 +213,19 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    store = _read_store(args)
+    log = _read_log(args)
     if args.what == "endpoints":
-        records, _ = store.top_endpoints_by_ets(args.k)
+        records, _ = log.top_endpoints_by_ets(args.k)
         for record in records:
             print(
                 f"{record.pair.source} -> {record.pair.destination}"
                 f"  ets={format_score(record.ets)}  alerts={len(record.alerts)}"
             )
     elif args.what == "paths":
-        records, _ = store.top_paths_by_pts(args.k)
-        sys.stdout.write(paths_to_table(records, store))
+        records, _ = log.top_paths_by_pts(args.k)
+        sys.stdout.write(paths_to_table(records, log))
     else:
-        for tree in top_trees(store, args.k, args.direction):
+        for tree in top_trees(log, args.k, args.direction):
             nodes = tree.nodes()
             best = max((n.ets for n in nodes if n.ets is not None), default=0.0)
             print(
@@ -238,8 +237,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    store = _read_store(args)
-    stats = store.stats()
+    log = _read_log(args)
+    stats = log.stats()
     print(
         json.dumps(
             {
@@ -255,8 +254,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_snapshot(args: argparse.Namespace) -> int:
-    store = _read_store(args)
-    store.snapshot(args.output)
+    log = _read_log(args)
+    log.snapshot(args.output)
     print(json.dumps({"written": str(args.output)}, sort_keys=True))
     return EXIT_OK
 

@@ -159,13 +159,57 @@ def ingest_stream(
     older than the store's latest time through reinsertion. An unknown
     ``fmt`` or ``mode`` raises `ValueError` before any line is read. Parse
     failures are recorded per line and skipped unless ``strict``.
+    This is `parse_feed` followed by `fold_alerts`.
     """
-    if mode not in ("chronological", "auto"):
-        raise ValueError(f"mode must be 'chronological' or 'auto', got {mode!r}")
+    _check_mode(mode)
+    parsed, report = parse_feed(lines, fmt=fmt, strict=strict)
+    return fold_alerts(store, parsed, report, mode=mode, progress=progress)
+
+
+def parse_feed(
+    lines: Iterable[str], *, fmt: Literal["eve", "csv"] = "eve", strict: bool = False
+) -> tuple[list[tuple[int, Alert]], IngestReport]:
+    """The first half of `ingest_stream`: every alert of a feed with its line
+    number, and a report that counts what was parsed, skipped and rejected.
+    Touches no store, so a caller can parse before it locks one."""
+    try:
+        parser = _PARSERS[fmt]
+    except KeyError:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {sorted(_PARSERS)}")
     report = IngestReport()
-    alerts = _parse_all(lines, fmt, strict, report)
+    alerts: list[tuple[int, Alert]] = []
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            alert = parser(line)
+        except ParseError as exc:
+            if strict:
+                raise ParseError(str(exc), line_no) from None
+            report.errors.append((line_no, str(exc)))
+            continue
+        if alert is None:
+            report.skipped += 1
+            continue
+        report.parsed += 1
+        alerts.append((line_no, alert))
+    return alerts, report
+
+
+def fold_alerts(
+    store: AlertStore,
+    parsed: list[tuple[int, Alert]],
+    report: IngestReport,
+    *,
+    mode: Literal["chronological", "auto"] = "chronological",
+    progress: Callable[[int], None] | None = None,
+) -> IngestReport:
+    """The second half of `ingest_stream`: fold `parse_feed`'s alerts into
+    the store, counting into its report, which is returned."""
+    _check_mode(mode)
+    alerts = parsed
     if mode == "chronological":
-        alerts.sort(key=lambda item: item[1].time_us)  # ties keep input order
+        alerts = sorted(parsed, key=lambda item: item[1].time_us)  # ties keep input order
     for done, (line_no, alert) in enumerate(alerts, start=1):
         alert = Alert(alert.source, alert.destination, alert.time_us, alert.sid, store.next_seq)
         latest = store.latest_time_us
@@ -190,30 +234,6 @@ def ingest_stream(
     return report
 
 
-def _parse_all(
-    lines: Iterable[str],
-    fmt: str,
-    strict: bool,
-    report: IngestReport,
-) -> list[tuple[int, Alert]]:
-    try:
-        parser = _PARSERS[fmt]
-    except KeyError:
-        raise ValueError(f"unknown format {fmt!r}; expected one of {sorted(_PARSERS)}")
-    alerts: list[tuple[int, Alert]] = []
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            alert = parser(line)
-        except ParseError as exc:
-            if strict:
-                raise ParseError(str(exc), line_no) from None
-            report.errors.append((line_no, str(exc)))
-            continue
-        if alert is None:
-            report.skipped += 1
-            continue
-        report.parsed += 1
-        alerts.append((line_no, alert))
-    return alerts
+def _check_mode(mode: str) -> None:
+    if mode not in ("chronological", "auto"):
+        raise ValueError(f"mode must be 'chronological' or 'auto', got {mode!r}")

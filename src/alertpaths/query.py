@@ -6,37 +6,44 @@ target and consumes the sequences reversed, so deeper nodes are further
 back along the attack. A label reached through two different branches
 becomes two distinct nodes, which keeps trees cycle-free even though the
 underlying graph is not. Every function here refreshes stale scores
-before it reads one.
+before it reads one. Each takes an `AlertStore` or an `AlertLog`, which
+answers the same lookups by deriving paths from the alert log; both feed
+their paths to one trie builder.
 """
 
 from __future__ import annotations
 
-from typing import Literal
+from typing import TYPE_CHECKING, Callable, Literal
 
-from .model import AlertTree, EndpointPair, PathRecord, TreeNode, normalize_color
+from .model import AlertTree, EndpointPair, EndpointRecord, PathRecord, TreeNode, normalize_color
 from .store import AlertStore, recompute_threat_scores
+
+if TYPE_CHECKING:
+    from .derivation import AlertLog
 
 Direction = Literal["forward", "backward"]
 
 
-def retrieve_paths(store: AlertStore, origin: str, target: str) -> list[PathRecord]:
+def retrieve_paths(store: AlertStore | AlertLog, origin: str, target: str) -> list[PathRecord]:
     """Stored paths from origin to target, highest PTS first, ties by vertices."""
     recompute_threat_scores(store)
     found = store.find_paths_between(origin, target)
     return sorted(found, key=lambda p: (-p.pts, p.vertices))
 
 
-def build_forward_tree(store: AlertStore, root: str) -> AlertTree:
+def build_forward_tree(store: AlertStore | AlertLog, root: str) -> AlertTree:
     """Trie of every stored path that starts at ``root``."""
     return _build_tree(store, root, "forward")
 
 
-def build_backward_tree(store: AlertStore, root: str) -> AlertTree:
+def build_backward_tree(store: AlertStore | AlertLog, root: str) -> AlertTree:
     """Trie of every stored path that ends at ``root``, walked backwards."""
     return _build_tree(store, root, "backward")
 
 
-def top_trees(store: AlertStore, k: int, direction: Direction = "forward") -> list[AlertTree]:
+def top_trees(
+    store: AlertStore | AlertLog, k: int, direction: Direction = "forward"
+) -> list[AlertTree]:
     """Trees rooted at the k distinct roots of the highest-PTS paths.
 
     Roots are ranked by the best PTS among their paths, ties broken by
@@ -62,24 +69,36 @@ def top_trees(store: AlertStore, k: int, direction: Direction = "forward") -> li
 # ---------------------------------------------------------------------------
 
 
-def _build_tree(store: AlertStore, root: str, direction: Direction) -> AlertTree:
+def _build_tree(store: AlertStore | AlertLog, root: str, direction: Direction) -> AlertTree:
+    """The store adaptor: the root's paths, read in walk order, and their
+    pairs' ETS."""
     recompute_threat_scores(store)
-    forward = direction == "forward"
-    if forward:
-        paths = store.find_paths_starting_at(root)
-        sequences = [p.vertices for p in paths]
+    if direction == "forward":
+        scored = [(p.vertices, p.pts) for p in store.find_paths_starting_at(root)]
     else:
-        paths = store.find_paths_ending_at(root)
-        sequences = [p.vertices[::-1] for p in paths]
-    # The stored set is prefix- and suffix-closed, so the tree's nodes are
-    # exactly the root and these sequences, and every proper prefix of one
-    # is a node too. Siblings keep insertion order: best path first, then label.
-    order = sorted(range(len(paths)), key=lambda i: (-paths[i].pts, sequences[i]))
+        scored = [(p.vertices[::-1], p.pts) for p in store.find_paths_ending_at(root)]
+    return _trie(root, direction, scored, store.endpoint)
 
+
+def _trie(
+    root: str,
+    direction: Direction,
+    scored: list[tuple[tuple[str, ...], float]],
+    endpoint: Callable[[EndpointPair], EndpointRecord],
+) -> AlertTree:
+    """The trie of ``scored``: every path from or to ``root`` as a sequence
+    that starts at the root, with its PTS. ``endpoint`` looks up the record
+    of a path's pair, which holds the ETS of the node the arc leads to.
+
+    The path set is prefix- and suffix-closed, so the tree's nodes are
+    exactly the root and these sequences, and every proper prefix of one is
+    a node too. Siblings keep insertion order: best path first, then label.
+    """
+    forward = direction == "forward"
+    scored = sorted(scored, key=lambda item: (-item[1], item[0]))
     root_node = TreeNode(root)
     nodes: dict[tuple[str, ...], TreeNode] = {(root,): root_node}
-    for i in order:
-        sequence = sequences[i]
+    for sequence, _ in scored:
         if sequence in nodes:
             continue  # created as the prefix of a better path
         # climb to the deepest node that exists, then create the rest top-down
@@ -90,7 +109,7 @@ def _build_tree(store: AlertStore, root: str, direction: Direction) -> AlertTree
             parent, label = sequence[end - 1], sequence[end]
             pair = EndpointPair(parent, label) if forward else EndpointPair(label, parent)
             # scoring raised StoreError already if a stored path's pair were missing
-            child = TreeNode(label, store.endpoint(pair).ets)
+            child = TreeNode(label, endpoint(pair).ets)
             node.children.append(child)
             nodes[sequence[: end + 1]] = child
             node = child

@@ -12,9 +12,13 @@ from __future__ import annotations
 import json
 import re
 import reprlib
+from typing import TYPE_CHECKING
 
 from .model import AlertTree, PathRecord, TreeNode
 from .store import AlertStore, recompute_threat_scores
+
+if TYPE_CHECKING:
+    from .derivation import AlertLog
 
 
 def format_score(value: float) -> str:
@@ -126,12 +130,15 @@ def tree_from_structured(text: str) -> AlertTree:
     Anything that is not such a document raises `ValueError`: bad JSON, a
     missing key, a non-object node, a direction other than ``forward`` or
     ``backward``, a non-string label, an ``ets`` that is neither null nor
-    a number, or a colour that is not ``#RRGGBB``. Reading goes through
-    `json.loads`, which recurses per nesting level, so text nested past
-    about 490 tree levels also raises `ValueError`.
+    a number, or a colour that is not ``#RRGGBB``. So does a tree of more
+    than `MAX_TREE_LEVELS` levels, counted as `json.loads` builds each
+    object, before any field is checked. `json.loads` recurses per nesting
+    level, and how deep it can go differs between Python versions (about
+    490 tree levels on 3.10 and 3.11, 740 on 3.12, 1,990 on 3.13); the cap
+    sits below all of them, so every version reads the same trees.
     """
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_object_with_levels)
     except RecursionError:
         raise ValueError("structured tree nests too deep to read") from None
     direction = _member(payload, "direction")
@@ -155,6 +162,30 @@ def tree_from_structured(text: str) -> AlertTree:
 
 
 _COLOR = re.compile(r"#[0-9A-Fa-f]{6}")
+MAX_TREE_LEVELS = 400
+
+
+class _LeveledObject(dict):
+    """A JSON object that knows how many tree levels it heads through its
+    ``children``: 1 for a leaf."""
+
+    __slots__ = ("levels",)
+
+
+def _object_with_levels(pairs: list[tuple[str, object]]) -> _LeveledObject:
+    """`json.loads`'s object hook: it builds objects innermost first and
+    rejects one that heads more than `MAX_TREE_LEVELS` levels."""
+    obj = _LeveledObject(pairs)
+    children = obj.get("children")
+    below = 0
+    if isinstance(children, list):
+        below = max((c.levels for c in children if isinstance(c, _LeveledObject)), default=0)
+    if below >= MAX_TREE_LEVELS:
+        raise ValueError(
+            f"structured tree nests too deep: more than {MAX_TREE_LEVELS} levels"
+        )
+    obj.levels = below + 1
+    return obj
 
 
 def _member(obj: object, key: str) -> object:
@@ -185,11 +216,11 @@ def _node_from_obj(obj: object) -> TreeNode:
 # ---------------------------------------------------------------------------
 
 
-def paths_to_table(paths: list[PathRecord], store: AlertStore) -> str:
+def paths_to_table(paths: list[PathRecord], store: AlertStore | AlertLog) -> str:
     """Plain-text table of paths: vertices, PTS, alert count per pair.
 
-    The store supplies the per-pair counts and refreshes its stale scores
-    first; an empty path list still yields the header row.
+    The store, or an `AlertLog`, supplies the per-pair counts and refreshes
+    its stale scores first; an empty path list still yields the header row.
     """
     recompute_threat_scores(store)
     header = ("path", "pts", "alerts_per_pair")

@@ -11,8 +11,11 @@ Paths are kept prefix-first: `insert_path` accepts a path only after its
 one-hop-shorter prefix, so `paths()` and the lookups by origin yield every
 path after its prefix.
 Snapshots hold only the alert log, as line-delimited JSON in a canonical
-sort order, which makes equal stores produce byte-identical files; paths
-are derived again on load, and scores on the first read after it.
+sort order, which makes equal stores produce byte-identical files.
+`read_snapshot` is the one validator of that file. `load` replays what it
+reads through `insert_alert`, so paths are derived again, and scores on the
+first read after it; `derivation.AlertLog` answers reads from the same
+alerts without building the path set.
 
 Concurrency contract: one writer at a time, readers see a consistent store
 only between mutating calls. The CLI enforces this across processes with
@@ -29,7 +32,7 @@ import os
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import StoreError
 from .model import Alert, EndpointPair, EndpointRecord, OrderKey, PathRecord
@@ -152,20 +155,14 @@ class AlertStore:
         staleness flag, is always False. Each call selects from every
         record with a k-bounded heap.
         """
-        if k < 0:
-            raise ValueError(f"k must be non-negative, got {k}")
         recompute_threat_scores(self)
-        top = heapq.nsmallest(k, self._endpoints.values(), key=lambda r: (-r.ets, r.pair))
-        return top, self.scores_stale
+        return rank_endpoints(self._endpoints.values(), k), self.scores_stale
 
     def top_paths_by_pts(self, k: int) -> tuple[list[PathRecord], bool]:
         """k highest PTS values, ties broken by vertex sequence; fresh like
         `top_endpoints_by_ets`."""
-        if k < 0:
-            raise ValueError(f"k must be non-negative, got {k}")
         recompute_threat_scores(self)
-        top = heapq.nsmallest(k, self._paths.values(), key=lambda p: (-p.pts, p.vertices))
-        return top, self.scores_stale
+        return rank_paths(self._paths.values(), k), self.scores_stale
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -197,112 +194,144 @@ class AlertStore:
     # ------------------------------------------------------------------
 
     def snapshot(self, destination: str | Path) -> None:
-        """Write the store's alert log to one portable file.
-
-        Only alerts are written, endpoints by pair with alerts by (time,
-        seq); paths and scores are derived from them on load. Stores with
-        equal alerts produce byte-identical snapshots.
-        """
-        destination = Path(destination)
-        header = {
-            "format": SNAPSHOT_FORMAT,
-            "version": SNAPSHOT_VERSION,
-            "endpoints": len(self._endpoints),
-        }
-        lines = [_dump(header)]
-        for pair, record in sorted(self._endpoints.items()):
-            lines.append(
-                _dump(
-                    {
-                        "src": pair.source,
-                        "dst": pair.destination,
-                        "alerts": [
-                            [a.time_us, a.sid, a.seq]
-                            for a in sorted(record.alerts, key=lambda a: a.key)
-                        ],
-                    }
-                )
-            )
-        tmp = destination.with_name(destination.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
-            handle.flush()
-            # the rename below must never publish a file whose data is not on disk
-            os.fsync(handle.fileno())
-        os.replace(tmp, destination)
-        if hasattr(os, "O_DIRECTORY"):  # POSIX: make the rename itself durable
-            directory = os.open(destination.parent, os.O_RDONLY | os.O_DIRECTORY)
-            try:
-                os.fsync(directory)
-            finally:
-                os.close(directory)
+        """Write the store's alert log with `write_snapshot`; paths and
+        scores are derived from it on load. Stores with equal alerts produce
+        byte-identical snapshots."""
+        write_snapshot(destination, self._endpoints.values())
 
     def load(self, source: str | Path) -> None:
         """Replace the store's contents with a snapshot's.
 
-        The file is outside input. Every line is validated, each alert by
-        `Alert`'s field rule (a violation is a `StoreError` naming the line),
-        and ordinals must be unique, before the store is touched, so a bad
-        file leaves the store as it was. The alerts are then replayed in
-        (time, seq) order, so every path is derived, never read from the
-        file; scores are computed by the first read that needs them.
+        `read_snapshot` validates the whole file before the store is
+        touched, so a bad file leaves the store as it was. The alerts are
+        then replayed in (time, seq) order, so every path is derived, never
+        read from the file; scores are computed by the first read that
+        needs them.
         """
         # maintenance imports this module, so importing it at the top would be circular
         from .maintenance import insert_alert
 
-        source = Path(source)
-        try:
-            raw = source.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise StoreError(f"cannot read snapshot {source}: {exc}") from exc
-        lines = raw.splitlines()
-        if not lines:
-            raise StoreError(f"snapshot {source} is empty")
-        header = _load_line(lines[0], 1)
-        if header.get("format") != SNAPSHOT_FORMAT:
-            raise StoreError(f"not a {SNAPSHOT_FORMAT} snapshot: {source}")
-        version = header.get("version")
-        if not _is_int(version) or version not in READABLE_VERSIONS:
-            raise StoreError(f"unsupported snapshot version {version!r}")
-        n_endpoints = _header_count(header, "endpoints")
-        n_paths = _header_count(header, "paths") if version < 3 else 0
-        if len(lines) != 1 + n_endpoints + n_paths:
-            raise StoreError(
-                f"snapshot {source} truncated: header promises "
-                f"{n_endpoints + n_paths} records, found {len(lines) - 1}"
-            )
-
-        alerts: list[Alert] = []
-        line_of_seq: dict[int, int] = {}
-        for line_no in range(2, 2 + n_endpoints):
-            row = _load_line(lines[line_no - 1], line_no)
-            triples = row.get("alerts")
-            if not isinstance(triples, list) or not triples:
-                raise StoreError(
-                    f"snapshot line {line_no}: alerts must be a non-empty list"
-                )
-            for triple in triples:
-                if not (isinstance(triple, list) and len(triple) == 3):
-                    raise StoreError(
-                        f"snapshot line {line_no}: alert {triple!r} is not "
-                        "a three-element list [time_us, sid, seq]"
-                    )
-                try:
-                    alert = Alert(row.get("src"), row.get("dst"), *triple)
-                except ValueError as exc:
-                    raise StoreError(f"snapshot line {line_no}: {exc}") from None
-                if alert.seq in line_of_seq:
-                    raise StoreError(
-                        f"snapshot line {line_no}: ordinal {alert.seq} already used "
-                        f"on line {line_of_seq[alert.seq]}"
-                    )
-                line_of_seq[alert.seq] = line_no
-                alerts.append(alert)
-
+        alerts = read_snapshot(source)
         self.__init__()
         alerts.sort(key=lambda a: a.key)
         for alert in alerts:
             insert_alert(self, alert)
+
+
+def rank_endpoints(records: Iterable[EndpointRecord], k: int) -> list[EndpointRecord]:
+    """The k records of highest ETS, ties broken by pair, selected with a
+    k-bounded heap; the scores must be fresh."""
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
+    return heapq.nsmallest(k, records, key=lambda r: (-r.ets, r.pair))
+
+
+def rank_paths(paths: Iterable[PathRecord], k: int) -> list[PathRecord]:
+    """The k paths of highest PTS, ties broken by vertex sequence, selected
+    with a k-bounded heap; the scores must be fresh."""
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
+    return heapq.nsmallest(k, paths, key=lambda p: (-p.pts, p.vertices))
+
+
+def write_snapshot(destination: str | Path, records: Iterable[EndpointRecord]) -> None:
+    """Write an alert log to one portable file, atomically and durably.
+
+    Only alerts are written, endpoints by pair with alerts by (time, seq),
+    so equal logs produce byte-identical files.
+    """
+    destination = Path(destination)
+    records = sorted(records, key=lambda r: r.pair)
+    header = {
+        "format": SNAPSHOT_FORMAT,
+        "version": SNAPSHOT_VERSION,
+        "endpoints": len(records),
+    }
+    lines = [_dump(header)]
+    for record in records:
+        lines.append(
+            _dump(
+                {
+                    "src": record.pair.source,
+                    "dst": record.pair.destination,
+                    "alerts": [
+                        [a.time_us, a.sid, a.seq]
+                        for a in sorted(record.alerts, key=lambda a: a.key)
+                    ],
+                }
+            )
+        )
+    tmp = destination.with_name(destination.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+        handle.flush()
+        # the rename below must never publish a file whose data is not on disk
+        os.fsync(handle.fileno())
+    os.replace(tmp, destination)
+    if hasattr(os, "O_DIRECTORY"):  # POSIX: make the rename itself durable
+        directory = os.open(destination.parent, os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
+
+
+def read_snapshot(source: str | Path) -> list[Alert]:
+    """Every alert of a snapshot file, in file order.
+
+    The file is outside input. Every line is validated, each alert by
+    `Alert`'s field rule (a violation is a `StoreError` naming the line),
+    and ordinals must be unique; any failure raises `StoreError`.
+    """
+    source = Path(source)
+    try:
+        raw = source.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise StoreError(f"cannot read snapshot {source}: {exc}") from exc
+    lines = raw.splitlines()
+    if not lines:
+        raise StoreError(f"snapshot {source} is empty")
+    header = _load_line(lines[0], 1)
+    if header.get("format") != SNAPSHOT_FORMAT:
+        raise StoreError(f"not a {SNAPSHOT_FORMAT} snapshot: {source}")
+    version = header.get("version")
+    if not _is_int(version) or version not in READABLE_VERSIONS:
+        raise StoreError(f"unsupported snapshot version {version!r}")
+    n_endpoints = _header_count(header, "endpoints")
+    n_paths = _header_count(header, "paths") if version < 3 else 0
+    if len(lines) != 1 + n_endpoints + n_paths:
+        raise StoreError(
+            f"snapshot {source} truncated: header promises "
+            f"{n_endpoints + n_paths} records, found {len(lines) - 1}"
+        )
+
+    alerts: list[Alert] = []
+    line_of_seq: dict[int, int] = {}
+    for line_no in range(2, 2 + n_endpoints):
+        row = _load_line(lines[line_no - 1], line_no)
+        triples = row.get("alerts")
+        if not isinstance(triples, list) or not triples:
+            raise StoreError(
+                f"snapshot line {line_no}: alerts must be a non-empty list"
+            )
+        for triple in triples:
+            if not (isinstance(triple, list) and len(triple) == 3):
+                raise StoreError(
+                    f"snapshot line {line_no}: alert {triple!r} is not "
+                    "a three-element list [time_us, sid, seq]"
+                )
+            try:
+                alert = Alert(row.get("src"), row.get("dst"), *triple)
+            except ValueError as exc:
+                raise StoreError(f"snapshot line {line_no}: {exc}") from None
+            if alert.seq in line_of_seq:
+                raise StoreError(
+                    f"snapshot line {line_no}: ordinal {alert.seq} already used "
+                    f"on line {line_of_seq[alert.seq]}"
+                )
+            line_of_seq[alert.seq] = line_no
+            alerts.append(alert)
+    return alerts
 
 
 def recompute_threat_scores(store: AlertStore) -> tuple[int, int]:

@@ -3,14 +3,26 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from alertpaths import maintenance, query, render
 from alertpaths import store as store_module
+from alertpaths.bench import generate_fanout_stream
 from alertpaths.cli import EXIT_ERROR, EXIT_OK, EXIT_PARSE, EXIT_STORE, EXIT_USAGE, main
+from alertpaths.derivation import AlertLog
+from alertpaths.query import build_backward_tree, build_forward_tree, retrieve_paths, top_trees
+from alertpaths.render import color_hex, format_score, paths_to_table, tree_to_dot
+from alertpaths.store import AlertStore, recompute_threat_scores
 
-from conftest import deep_chain_tree
+from conftest import DATA_DIR, deep_chain_tree
+from test_acceptance import delay
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -192,7 +204,8 @@ def test_reinsert_command(capsys, store_dir, tmp_path):
 
 
 def test_ingest_runs_no_scoring_pass(capsys, store_dir, csv_feed, tmp_path, monkeypatch):
-    # ingest writes back only alerts, so nothing it does reads a score
+    # ingest writes back only alerts, so nothing it does reads a score;
+    # top derives its scores from the log, so it needs no scoring pass either
     ingest_fixture(capsys, store_dir, csv_feed)
     calls = []
 
@@ -215,11 +228,9 @@ def test_ingest_runs_no_scoring_pass(capsys, store_dir, csv_feed, tmp_path, monk
     assert code == EXIT_OK
     assert json.loads(out)["paths_created"] == 4
     assert calls == []
-    # the patch does reach the scorer: the first read of a score runs it
     code, out, _ = run(capsys, "top", "--store", str(store_dir),
                        "--what", "paths", "--k", "1")
     assert code == EXIT_OK
-    assert calls
     assert out.splitlines()[1].split()[-2] == "3.46"  # 3 sids x 4 alerts
 
 
@@ -304,6 +315,18 @@ def test_missing_input_leaves_the_store_uncreated(capsys, tmp_path, command, exi
     assert not missing.exists()
 
 
+def test_strict_ingest_of_a_bad_feed_leaves_the_store_uncreated(capsys, tmp_path):
+    # the feed is parsed before the lock, which would create the directory
+    feed = tmp_path / "bad.csv"
+    feed.write_text("a,b,1,2\ngarbage\n", encoding="utf-8")
+    missing = tmp_path / "missing"
+    code, out, err = run(capsys, "ingest", "--store", str(missing), "--input", str(feed),
+                         "--format", "csv", "--strict")
+    assert code == EXIT_PARSE
+    assert out == "" and "line 2" in err
+    assert not missing.exists()
+
+
 def test_non_strict_ingest_counts_bad_lines(capsys, store_dir, tmp_path):
     feed = tmp_path / "mixed.csv"
     feed.write_text("v1,v2,1000,1\ngarbage line\nv2,v3,2000,1\n", encoding="utf-8")
@@ -348,3 +371,120 @@ def test_store_env_var_fallback(capsys, store_dir, csv_feed, monkeypatch):
     code, out, _ = run(capsys, "stats")
     assert code == EXIT_OK
     assert json.loads(out)["alerts"] == 3
+
+
+def late_feed() -> str:
+    """A 12-host fan-out feed with 2% of its alerts up to 30 positions late."""
+    alerts = delay(generate_fanout_stream(12, 240, 3, seed=8), 0.02, 30, seed=8)
+    return "".join(f"{a.source},{a.destination},{a.time_us},{a.sid}\n" for a in alerts)
+
+
+@pytest.mark.parametrize("feed", ["random_seed7", "late-auto"])
+def test_read_commands_print_the_replayed_store_answers(capsys, tmp_path, feed):
+    # the read commands derive from the log; every byte they print or write
+    # must equal the library's answer from the store that `load` replays
+    feed_file = tmp_path / "feed.csv"
+    if feed == "random_seed7":
+        feed_file.write_text((DATA_DIR / "random_seed7.csv").read_text(encoding="utf-8"))
+    else:
+        feed_file.write_text(late_feed(), encoding="utf-8")
+    store_dir = tmp_path / "store"
+    code, out, _ = run(capsys, "ingest", "--store", str(store_dir), "--input", str(feed_file),
+                       "--format", "csv", "--mode", "auto")
+    assert code == EXIT_OK
+    assert (json.loads(out)["reinserted"] > 0) == (feed == "late-auto")
+    store = AlertStore()
+    store.load(store_dir / "store.jsonl")
+    recompute_threat_scores(store)
+
+    def cli(*argv: str) -> str:
+        code, out, err = run(capsys, *argv, "--store", str(store_dir))
+        assert (code, err) == (EXIT_OK, ""), argv
+        return out
+
+    vertices = sorted({vertex for record in store.endpoints() for vertex in record.pair})
+    dot_file, json_file = tmp_path / "tree.dot", tmp_path / "tree.json"
+    builders = (("forward", build_forward_tree), ("backward", build_backward_tree))
+    for root in vertices:
+        for direction, build in builders:
+            tree = build(store, root)
+            argv = ("tree", "--root", root, "--direction", direction)
+            assert cli(*argv) == render.tree_to_structured(tree), argv
+            assert cli(*argv, "--dot", str(dot_file), "--json", str(json_file)) == ""
+            assert dot_file.read_text(encoding="utf-8") == tree_to_dot(tree), argv
+            assert json_file.read_text(encoding="utf-8") == render.tree_to_structured(tree), argv
+        for target in vertices:
+            expected = paths_to_table(retrieve_paths(store, root, target), store)
+            assert cli("paths", "--origin", root, "--target", target) == expected, (root, target)
+    for k in (3, 10_000):
+        endpoints = "".join(
+            f"{r.pair.source} -> {r.pair.destination}  ets={format_score(r.ets)}"
+            f"  alerts={len(r.alerts)}\n"
+            for r in store.top_endpoints_by_ets(k)[0]
+        )
+        paths = paths_to_table(store.top_paths_by_pts(k)[0], store)
+        for direction in ("forward", "backward"):
+            trees = ""
+            for tree in top_trees(store, k, direction):
+                nodes = tree.nodes()
+                best = max((n.ets for n in nodes if n.ets is not None), default=0.0)
+                trees += (
+                    f"root={tree.root.label}  direction={direction}  nodes={len(nodes)}"
+                    f"  max_ets={format_score(best)}  root_color={color_hex(tree.root.color)}\n"
+                )
+            top = ("top", "--k", str(k), "--direction", direction, "--what")
+            assert cli(*top, "endpoints") == endpoints
+            assert cli(*top, "paths") == paths
+            assert cli(*top, "trees") == trees
+    stats = store.stats()
+    assert cli("stats") == json.dumps(
+        {"nodes": stats.node_count, "endpoints": stats.endpoint_count,
+         "alerts": stats.alert_count, "paths": stats.path_count},
+        sort_keys=True,
+    ) + "\n"
+    exported, replayed = tmp_path / "export.jsonl", tmp_path / "replayed.jsonl"
+    assert cli("snapshot", "--output", str(exported)) == json.dumps(
+        {"written": str(exported)}, sort_keys=True
+    ) + "\n"
+    store.snapshot(replayed)
+    assert exported.read_bytes() == replayed.read_bytes()
+
+
+def peak_rss_kb(code: str, *argv: str) -> int:
+    """The ru_maxrss of ``code`` run in a new interpreter. A process starts
+    with the peak RSS of the one that started it, so a small interpreter in
+    between starts it, not this test process, and reports its children's."""
+    launcher = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", launcher, sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return int(result.stdout)
+
+
+def test_top_holds_no_path_set(tmp_path):
+    # about 82k paths: a reader that replays the log holds all of them, a
+    # command that derives them holds one path at a time
+    store_dir = tmp_path / "store"
+    store_dir.mkdir()
+    snapshot = store_dir / "store.jsonl"
+    AlertLog(generate_fanout_stream(300, 2_500, 3, seed=8)).snapshot(snapshot)
+    top = peak_rss_kb(
+        "import sys\nfrom alertpaths.cli import main\nsys.exit(main(sys.argv[1:]))",
+        "top", "--what", "trees", "--k", "10", "--store", str(store_dir),
+    )
+    replayed = peak_rss_kb(
+        "import sys\nfrom alertpaths.store import AlertStore\n"
+        "store = AlertStore()\nstore.load(sys.argv[1])\n"
+        "assert store.stats().path_count == 81_892",
+        str(snapshot),
+    )
+    assert top < replayed

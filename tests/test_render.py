@@ -19,6 +19,7 @@ from alertpaths.ingest import ingest_stream
 from alertpaths.model import AlertTree, TreeNode
 from alertpaths.query import build_backward_tree, build_forward_tree, retrieve_paths
 from alertpaths.render import (
+    MAX_TREE_LEVELS,
     color_hex,
     format_score,
     paths_to_table,
@@ -207,6 +208,14 @@ def test_structured_renders_any_depth_and_reads_to_the_json_limit():
     nested = '{"direction": "forward", "root": ' + '{"children": [' * 600
     with pytest.raises(ValueError, match="too deep"):
         tree_from_structured(nested + "]}" * 600 + "}")
+
+
+def test_structured_reader_caps_the_levels_on_every_version():
+    # json.loads nests deeper from Python 3.12 on; the reader's own cap does not move
+    text = tree_to_structured(deep_chain_tree(MAX_TREE_LEVELS))
+    assert tree_to_structured(tree_from_structured(text)) == text
+    with pytest.raises(ValueError, match=f"more than {MAX_TREE_LEVELS} levels"):
+        tree_from_structured(tree_to_structured(deep_chain_tree(MAX_TREE_LEVELS + 1)))
 
 
 def test_structured_bytes_equal_the_stdlib_encoder_on_built_trees():
