@@ -4,11 +4,11 @@ Machine-readable results go to stdout, diagnostics to stderr. The store
 lives in a directory (``--store`` or the ALERTPATHS_STORE environment
 variable) holding one snapshot file, the alert log; commands that mutate it
 take an exclusive lock, read-only commands a shared one. Only ``ingest``
-and ``load`` replay the log into an `AlertStore`. The read-only commands
-(``paths``, ``tree``, ``top``, ``stats``, ``snapshot``) read it into an
-`AlertLog`, which derives just the paths each answer needs, so they never
-hold the path set. Exit codes: 0 success, 2 argument errors, 3 parse
-errors, 4 store errors, 1 anything else.
+replays the log into an `AlertStore`. The read-only commands (``paths``,
+``tree``, ``top``, ``stats``, ``snapshot``) read it, and ``load`` its
+input, into an `AlertLog`, which derives just the paths each answer needs,
+so they never hold the path set. Exit codes: 0 success, 2 argument errors,
+3 parse errors, 4 store errors, 1 anything else.
 """
 
 from __future__ import annotations
@@ -262,11 +262,10 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
 
 def _cmd_load(args: argparse.Namespace) -> int:
     directory = _store_dir(args)
-    store = AlertStore()
-    store.load(args.input)  # before locking, so a bad input leaves no directory
+    log = AlertLog.read(args.input)  # before locking, so a bad input leaves no directory
     with _locked(directory, exclusive=True):
-        store.snapshot(directory / STORE_FILENAME)
-    stats = store.stats()
+        log.snapshot(directory / STORE_FILENAME)
+    stats = log.stats()
     print(
         json.dumps(
             {"alerts": stats.alert_count, "paths": stats.path_count}, sort_keys=True

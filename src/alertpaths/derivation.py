@@ -10,9 +10,10 @@ their latest keys, each earlier than the one before. The search shares no
 code with `insert_alert` or `reinsert_alert`, so it also serves as an
 oracle for them.
 
-`AlertLog` holds one log and answers the store's read-only lookups by
-these searches, so a reader that needs a few roots never builds the path
-set, and one that needs every path holds only the path being walked.
+`AlertLog` holds one log and answers by these searches the lookups that
+`store.PathReader`, the store's read interface, is written over. So a
+reader that needs a few roots never builds the path set, and one that
+needs every path holds only the path being walked.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterable, Iterator, Literal
 
 from .errors import StoreError
 from .model import Alert, EndpointPair, EndpointRecord, PathRecord
-from .store import StoreStats, rank_endpoints, rank_paths, read_snapshot, write_snapshot
+from .store import PathReader, read_snapshot
 
 Direction = Literal["forward", "backward"]
 # One arc as a search takes it: the vertex it reaches, its keys in the
@@ -33,7 +34,7 @@ Direction = Literal["forward", "backward"]
 _Step = tuple[str, list[int], int, int]
 
 
-class AlertLog:
+class AlertLog(PathReader):
     """A read-only alert log with the store's read interface.
 
     Built from alerts with unique ordinals. Each alert's (time, seq) key is
@@ -45,13 +46,10 @@ class AlertLog:
     computed as they are derived, so they are never stale.
     """
 
-    scores_stale = False  # read by recompute_threat_scores, which then returns at once
-
     def __init__(self, alerts: Iterable[Alert]) -> None:
         ordered = sorted(alerts, key=attrgetter("time_us", "seq"))
         if len({alert.seq for alert in ordered}) != len(ordered):
             raise StoreError("ingestion ordinals must be unique")
-        self._alert_count = len(ordered)
         by_pair: dict[tuple[str, str], tuple[list[Alert], list[int]]] = {}
         for rank, alert in enumerate(ordered):
             pair = (alert.source, alert.destination)
@@ -60,7 +58,7 @@ class AlertLog:
                 found = by_pair[pair] = ([], [])
             found[0].append(alert)
             found[1].append(rank)
-        self._records: dict[EndpointPair, EndpointRecord] = {}
+        self._endpoints: dict[EndpointPair, EndpointRecord] = {}
         bits: dict[int, int] = {}
         forward: dict[str, list[_Step]] = {}
         backward: dict[str, list[_Step]] = {}
@@ -75,7 +73,7 @@ class AlertLog:
             count = len(pair_alerts)
             ets = math.sqrt(mask.bit_count() * count)
             record = EndpointRecord(EndpointPair(*pair), pair_alerts, ets)
-            self._records[record.pair] = record
+            self._endpoints[record.pair] = record
             source, dest = pair
             if source == dest:  # self-loops never form paths
                 continue
@@ -134,14 +132,8 @@ class AlertLog:
                     on_path.discard(sequence.pop())
 
     # ------------------------------------------------------------------
-    # the store's read interface
+    # the lookups the read interface is written over
     # ------------------------------------------------------------------
-
-    def endpoint(self, pair: EndpointPair) -> EndpointRecord | None:
-        return self._records.get(pair)
-
-    def endpoints(self) -> Iterator[EndpointRecord]:
-        return iter(self._records.values())
 
     def paths(self) -> Iterator[PathRecord]:
         """Every path, derived root by root; each after its prefix."""
@@ -155,31 +147,6 @@ class AlertLog:
     def find_paths_ending_at(self, vertex: str) -> list[PathRecord]:
         return [PathRecord(reverse[::-1], pts) for reverse, pts in self.walk(vertex, "backward")]
 
-    def find_paths_between(self, origin: str, target: str) -> list[PathRecord]:
-        return [
-            PathRecord(vertices, pts)
-            for vertices, pts in self.walk(origin)
-            if vertices[-1] == target
-        ]
-
-    def top_endpoints_by_ets(self, k: int) -> tuple[list[EndpointRecord], bool]:
-        """As `AlertStore.top_endpoints_by_ets`; derives no path."""
-        return rank_endpoints(self._records.values(), k), False
-
-    def top_paths_by_pts(self, k: int) -> tuple[list[PathRecord], bool]:
-        """As `AlertStore.top_paths_by_pts`, from one walk over every path
-        with a k-bounded heap."""
-        return rank_paths(self.paths(), k), False
-
-    def stats(self) -> StoreStats:
-        """As `AlertStore.stats`; the paths are counted by one walk."""
-        return StoreStats(
-            node_count=len({vertex for pair in self._records for vertex in pair}),
-            endpoint_count=len(self._records),
-            alert_count=self._alert_count,
-            path_count=sum(1 for root in self._steps["forward"] for _ in self.walk(root)),
-        )
-
-    def snapshot(self, destination: str | Path) -> None:
-        """Write the log as `AlertStore.snapshot` writes an equal store."""
-        write_snapshot(destination, self._records.values())
+    def _path_count(self) -> int:
+        """Counted by one walk from every root."""
+        return sum(1 for root in self._steps["forward"] for _ in self.walk(root))

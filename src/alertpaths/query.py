@@ -6,44 +6,39 @@ target and consumes the sequences reversed, so deeper nodes are further
 back along the attack. A label reached through two different branches
 becomes two distinct nodes, which keeps trees cycle-free even though the
 underlying graph is not. Every function here refreshes stale scores
-before it reads one. Each takes an `AlertStore` or an `AlertLog`, which
-answers the same lookups by deriving paths from the alert log; both feed
-their paths to one trie builder.
+before it reads one. Each takes a `store.PathReader`: an `AlertStore`, or
+an `AlertLog`, which answers the same lookups by deriving paths from the
+alert log. Both feed their paths to one trie builder.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Literal
+from typing import Callable, Literal
 
 from .model import AlertTree, EndpointPair, EndpointRecord, PathRecord, TreeNode, normalize_color
-from .store import AlertStore, recompute_threat_scores
-
-if TYPE_CHECKING:
-    from .derivation import AlertLog
+from .store import PathReader, recompute_threat_scores
 
 Direction = Literal["forward", "backward"]
 
 
-def retrieve_paths(store: AlertStore | AlertLog, origin: str, target: str) -> list[PathRecord]:
+def retrieve_paths(store: PathReader, origin: str, target: str) -> list[PathRecord]:
     """Stored paths from origin to target, highest PTS first, ties by vertices."""
     recompute_threat_scores(store)
     found = store.find_paths_between(origin, target)
     return sorted(found, key=lambda p: (-p.pts, p.vertices))
 
 
-def build_forward_tree(store: AlertStore | AlertLog, root: str) -> AlertTree:
+def build_forward_tree(store: PathReader, root: str) -> AlertTree:
     """Trie of every stored path that starts at ``root``."""
     return _build_tree(store, root, "forward")
 
 
-def build_backward_tree(store: AlertStore | AlertLog, root: str) -> AlertTree:
+def build_backward_tree(store: PathReader, root: str) -> AlertTree:
     """Trie of every stored path that ends at ``root``, walked backwards."""
     return _build_tree(store, root, "backward")
 
 
-def top_trees(
-    store: AlertStore | AlertLog, k: int, direction: Direction = "forward"
-) -> list[AlertTree]:
+def top_trees(store: PathReader, k: int, direction: Direction = "forward") -> list[AlertTree]:
     """Trees rooted at the k distinct roots of the highest-PTS paths.
 
     Roots are ranked by the best PTS among their paths, ties broken by
@@ -69,7 +64,7 @@ def top_trees(
 # ---------------------------------------------------------------------------
 
 
-def _build_tree(store: AlertStore | AlertLog, root: str, direction: Direction) -> AlertTree:
+def _build_tree(store: PathReader, root: str, direction: Direction) -> AlertTree:
     """The store adaptor: the root's paths, read in walk order, and their
     pairs' ETS."""
     recompute_threat_scores(store)

@@ -4,7 +4,9 @@ All output here is byte-deterministic for equal inputs: DOT node
 identifiers number the nodes in preorder, children are emitted in stored
 order, and structured JSON has the bytes of `json.dumps` with sorted keys
 and an indent of 2. Both tree writers walk a tree once with an explicit
-stack, so they render trees of any depth.
+stack, so they render trees of any depth. Path tables read pair counts
+through the `store.PathReader` interface, so an `AlertStore` and an
+`AlertLog` print the same table.
 """
 
 from __future__ import annotations
@@ -12,13 +14,9 @@ from __future__ import annotations
 import json
 import re
 import reprlib
-from typing import TYPE_CHECKING
 
 from .model import AlertTree, PathRecord, TreeNode
-from .store import AlertStore, recompute_threat_scores
-
-if TYPE_CHECKING:
-    from .derivation import AlertLog
+from .store import PathReader, recompute_threat_scores
 
 
 def format_score(value: float) -> str:
@@ -216,7 +214,7 @@ def _node_from_obj(obj: object) -> TreeNode:
 # ---------------------------------------------------------------------------
 
 
-def paths_to_table(paths: list[PathRecord], store: AlertStore | AlertLog) -> str:
+def paths_to_table(paths: list[PathRecord], store: PathReader) -> str:
     """Plain-text table of paths: vertices, PTS, alert count per pair.
 
     The store, or an `AlertLog`, supplies the per-pair counts and refreshes

@@ -1,4 +1,11 @@
-"""Embedded store for endpoint and path records.
+"""Embedded store for endpoint and path records, and the read interface
+it shares with the alert log.
+
+`PathReader` writes the read interface once: endpoint lookups, paths
+between two vertices, both rankings, `stats` and `snapshot`. It reads the
+endpoint records and what each subclass supplies: `paths()`, the lookups
+by origin and by target, and a path count. `AlertStore` answers these from
+its path set and indexes; `derivation.AlertLog` derives them.
 
 Single-writer, in-process. The store keeps the path set and two indexes,
 by origin and by target; everything else is computed when it is read.
@@ -14,8 +21,8 @@ Snapshots hold only the alert log, as line-delimited JSON in a canonical
 sort order, which makes equal stores produce byte-identical files.
 `read_snapshot` is the one validator of that file. `load` replays what it
 reads through `insert_alert`, so paths are derived again, and scores on the
-first read after it; `derivation.AlertLog` answers reads from the same
-alerts without building the path set.
+first read after it; `derivation.AlertLog` answers the same reads from the
+same alerts without building the path set.
 
 Concurrency contract: one writer at a time, readers see a consistent store
 only between mutating calls. The CLI enforces this across processes with
@@ -53,7 +60,68 @@ class StoreStats:
     path_count: int
 
 
-class AlertStore:
+class PathReader:
+    """The read interface over ``_endpoints`` and the four methods below that
+    a subclass supplies; scores are fresh unless a subclass marks them stale."""
+
+    _endpoints: dict[EndpointPair, EndpointRecord]
+    scores_stale = False
+
+    def paths(self) -> Iterator[PathRecord]:  # each path after its prefix
+        raise NotImplementedError
+
+    def find_paths_starting_at(self, vertex: str) -> list[PathRecord]:
+        raise NotImplementedError
+
+    def find_paths_ending_at(self, vertex: str) -> list[PathRecord]:
+        raise NotImplementedError
+
+    def _path_count(self) -> int:
+        raise NotImplementedError
+
+    def endpoint(self, pair: EndpointPair) -> EndpointRecord | None:
+        return self._endpoints.get(pair)
+
+    def endpoints(self) -> Iterator[EndpointRecord]:
+        return iter(self._endpoints.values())
+
+    def find_paths_between(self, origin: str, target: str) -> list[PathRecord]:
+        """The origin's paths that end at target, in lookup order."""
+        return [p for p in self.find_paths_starting_at(origin) if p.target == target]
+
+    def top_endpoints_by_ets(self, k: int) -> tuple[list[EndpointRecord], bool]:
+        """k highest ETS values, ties broken by pair.
+
+        Scores are refreshed first if stale, so the second element, the
+        staleness flag, is always False. Each call selects from every
+        record with a k-bounded heap.
+        """
+        recompute_threat_scores(self)
+        return rank_endpoints(self._endpoints.values(), k), self.scores_stale
+
+    def top_paths_by_pts(self, k: int) -> tuple[list[PathRecord], bool]:
+        """k highest PTS values, ties broken by vertex sequence; fresh like
+        `top_endpoints_by_ets`."""
+        recompute_threat_scores(self)
+        return rank_paths(self.paths(), k), self.scores_stale
+
+    def stats(self) -> StoreStats:
+        records = self._endpoints.values()
+        return StoreStats(
+            node_count=len({vertex for pair in self._endpoints for vertex in pair}),
+            endpoint_count=len(records),
+            alert_count=sum(len(record.alerts) for record in records),
+            path_count=self._path_count(),
+        )
+
+    def snapshot(self, destination: str | Path) -> None:
+        """Write the alert log with `write_snapshot`; paths and scores are
+        derived from it on load. Equal logs produce byte-identical
+        snapshots."""
+        write_snapshot(destination, self._endpoints.values())
+
+
+class AlertStore(PathReader):
     """Endpoint and path records plus the indexes over them."""
 
     def __init__(self) -> None:
@@ -91,12 +159,6 @@ class AlertStore:
             self._head = alert.key
         self.scores_stale = True
         return record, created
-
-    def endpoint(self, pair: EndpointPair) -> EndpointRecord | None:
-        return self._endpoints.get(pair)
-
-    def endpoints(self) -> Iterator[EndpointRecord]:
-        return iter(self._endpoints.values())
 
     # ------------------------------------------------------------------
     # paths
@@ -140,29 +202,8 @@ class AlertStore:
     def find_paths_starting_at(self, vertex: str) -> list[PathRecord]:
         return list(self._by_origin.get(vertex, ()))
 
-    def find_paths_between(self, origin: str, target: str) -> list[PathRecord]:
-        """The origin's paths that end at target, in insertion order."""
-        return [p for p in self._by_origin.get(origin, ()) if p.target == target]
-
-    # ------------------------------------------------------------------
-    # ranking
-    # ------------------------------------------------------------------
-
-    def top_endpoints_by_ets(self, k: int) -> tuple[list[EndpointRecord], bool]:
-        """k highest ETS values, ties broken by pair.
-
-        Scores are refreshed first if stale, so the second element, the
-        staleness flag, is always False. Each call selects from every
-        record with a k-bounded heap.
-        """
-        recompute_threat_scores(self)
-        return rank_endpoints(self._endpoints.values(), k), self.scores_stale
-
-    def top_paths_by_pts(self, k: int) -> tuple[list[PathRecord], bool]:
-        """k highest PTS values, ties broken by vertex sequence; fresh like
-        `top_endpoints_by_ets`."""
-        recompute_threat_scores(self)
-        return rank_paths(self._paths.values(), k), self.scores_stale
+    def _path_count(self) -> int:
+        return len(self._paths)
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -181,23 +222,9 @@ class AlertStore:
     def latest_time_us(self) -> int | None:
         return None if self._head is None else self._head[0]
 
-    def stats(self) -> StoreStats:
-        return StoreStats(
-            node_count=len({vertex for pair in self._endpoints for vertex in pair}),
-            endpoint_count=len(self._endpoints),
-            alert_count=len(self._seqs),
-            path_count=len(self._paths),
-        )
-
     # ------------------------------------------------------------------
     # persistence
     # ------------------------------------------------------------------
-
-    def snapshot(self, destination: str | Path) -> None:
-        """Write the store's alert log with `write_snapshot`; paths and
-        scores are derived from it on load. Stores with equal alerts produce
-        byte-identical snapshots."""
-        write_snapshot(destination, self._endpoints.values())
 
     def load(self, source: str | Path) -> None:
         """Replace the store's contents with a snapshot's.
@@ -262,12 +289,17 @@ def write_snapshot(destination: str | Path, records: Iterable[EndpointRecord]) -
             )
         )
     tmp = destination.with_name(destination.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
-        handle.flush()
-        # the rename below must never publish a file whose data is not on disk
-        os.fsync(handle.fileno())
-    os.replace(tmp, destination)
+    handle = open(tmp, "w", encoding="utf-8")
+    try:
+        with handle:
+            handle.write("\n".join(lines) + "\n")
+            handle.flush()
+            # the rename below must never publish a file whose data is not on disk
+            os.fsync(handle.fileno())
+        os.replace(tmp, destination)
+    except BaseException:
+        tmp.unlink(missing_ok=True)  # created or truncated by the open above
+        raise
     if hasattr(os, "O_DIRECTORY"):  # POSIX: make the rename itself durable
         directory = os.open(destination.parent, os.O_RDONLY | os.O_DIRECTORY)
         try:
@@ -334,7 +366,7 @@ def read_snapshot(source: str | Path) -> list[Alert]:
     return alerts
 
 
-def recompute_threat_scores(store: AlertStore) -> tuple[int, int]:
+def recompute_threat_scores(store: PathReader) -> tuple[int, int]:
     """Refresh every cached ETS and PTS if any is stale; returns counts of
     changed records, (0, 0) at once when none is stale.
 

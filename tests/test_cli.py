@@ -189,6 +189,17 @@ def test_snapshot_and_load(capsys, store_dir, csv_feed, tmp_path):
     assert json.loads(out)["paths"] == 6
 
 
+def test_failed_snapshot_leaves_no_temp_file(capsys, store_dir, csv_feed, tmp_path):
+    # the rename onto a directory fails after the temp file is written
+    ingest_fixture(capsys, store_dir, csv_feed)
+    target = tmp_path / "taken"
+    target.mkdir()
+    code, out, _ = run(capsys, "snapshot", "--store", str(store_dir),
+                       "--output", str(target))
+    assert code == EXIT_ERROR and out == ""
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["feed.csv", "store", "taken"]
+
+
 def test_reinsert_command(capsys, store_dir, tmp_path):
     first = tmp_path / "first.csv"
     first.write_text("v1,v2,1000,1\nv3,v4,3000,1\n", encoding="utf-8")
@@ -477,10 +488,9 @@ def test_top_holds_no_path_set(tmp_path):
     store_dir.mkdir()
     snapshot = store_dir / "store.jsonl"
     AlertLog(generate_fanout_stream(300, 2_500, 3, seed=8)).snapshot(snapshot)
-    top = peak_rss_kb(
-        "import sys\nfrom alertpaths.cli import main\nsys.exit(main(sys.argv[1:]))",
-        "top", "--what", "trees", "--k", "10", "--store", str(store_dir),
-    )
+    cli = "import sys\nfrom alertpaths.cli import main\nsys.exit(main(sys.argv[1:]))"
+    top = peak_rss_kb(cli, "top", "--what", "trees", "--k", "10", "--store", str(store_dir))
+    loaded = peak_rss_kb(cli, "load", "--input", str(snapshot), "--store", str(tmp_path / "loaded"))
     replayed = peak_rss_kb(
         "import sys\nfrom alertpaths.store import AlertStore\n"
         "store = AlertStore()\nstore.load(sys.argv[1])\n"
@@ -488,3 +498,4 @@ def test_top_holds_no_path_set(tmp_path):
         str(snapshot),
     )
     assert top < replayed
+    assert loaded < replayed

@@ -1,8 +1,9 @@
 """Repository tooling: the benchmark's feed generators match the package's,
 the README documents every CLI command, its library example runs, a slice
 of a benchmark session runs and passes the benchmark's checks, CLI output
-does not depend on the interpreter's hash seed, and the package imports
-only the standard library."""
+does not depend on the interpreter's hash seed, importing the package
+leaves the derivation unloaded, and the package imports only the standard
+library."""
 
 from __future__ import annotations
 
@@ -148,6 +149,21 @@ def test_cli_output_is_independent_of_the_hash_seed(tmp_path):
     first = session("0")
     assert first[1].startswith(b"{") and first[-2].startswith(b"digraph")
     assert session("777") == first
+
+
+def test_package_import_leaves_the_derivation_unloaded():
+    # the benchmark's setup time includes `import alertpaths`; only the CLI
+    # and direct importers load the derivation
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, alertpaths; print('alertpaths.derivation' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def test_package_imports_only_the_standard_library():
