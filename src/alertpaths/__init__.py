@@ -36,7 +36,6 @@ from .render import (
     color_hex,
     format_score,
     paths_to_table,
-    tree_from_structured,
     tree_to_dot,
     tree_to_structured,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "retrieve_paths",
     "threat_score",
     "top_trees",
-    "tree_from_structured",
     "tree_to_dot",
     "tree_to_structured",
     "__version__",

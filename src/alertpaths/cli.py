@@ -115,13 +115,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cmd = add("bench", "synthetic workload checks", _cmd_bench, store=False)
     cmd.add_argument("workload", choices=("chain",))
-    cmd.add_argument("--n", type=int, required=True, help="chain length in alerts")
+    cmd.add_argument("--n", type=_count, required=True, help="chain length in alerts")
 
     return parser
 
 
 def _count(text: str) -> int:
-    """Argument type of ``--top`` and ``--k``: a non-negative integer."""
+    """Argument type of ``--top``, ``--k`` and ``--n``: a non-negative integer."""
     if not _DIGITS.fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Literal
 
 from .errors import StoreError
 from .model import Alert, EndpointPair, EndpointRecord, PathRecord
-from .store import PathReader, read_snapshot
+from .store import PathReader, read_snapshot, reduce_pairs
 
 Direction = Literal["forward", "backward"]
 # One arc as a search takes it: the vertex it reaches, its keys in the
@@ -40,8 +40,9 @@ class AlertLog(PathReader):
     Built from alerts with unique ordinals. Each alert's (time, seq) key is
     replaced by its rank, which keeps the order. Per pair it keeps an
     `EndpointRecord` with its ETS and, for each direction, the arc's ranks
-    and the (alert count, sid mask) sums that give PTS, as in
-    `recompute_threat_scores`, so every score is bit-equal to the store's.
+    and the (alert count, sid mask) sums that give PTS. `store.reduce_pairs`
+    computes those sums for `recompute_threat_scores` too, so every score is
+    bit-equal to the store's.
     The lookups that return paths derive them on each call; scores are
     computed as they are derived, so they are never stale.
     """
@@ -59,24 +60,18 @@ class AlertLog(PathReader):
             found[0].append(alert)
             found[1].append(rank)
         self._endpoints: dict[EndpointPair, EndpointRecord] = {}
-        bits: dict[int, int] = {}
         forward: dict[str, list[_Step]] = {}
         backward: dict[str, list[_Step]] = {}
-        for pair in sorted(by_pair):
-            pair_alerts, keys = by_pair[pair]
-            mask = 0
-            for sid in {alert.sid for alert in pair_alerts}:
-                bit = bits.get(sid)
-                if bit is None:
-                    bit = bits[sid] = 1 << len(bits)
-                mask |= bit
-            count = len(pair_alerts)
-            ets = math.sqrt(mask.bit_count() * count)
-            record = EndpointRecord(EndpointPair(*pair), pair_alerts, ets)
+        records = (
+            EndpointRecord(EndpointPair(*pair), by_pair[pair][0]) for pair in sorted(by_pair)
+        )
+        for record, count, mask in reduce_pairs(records):
+            record.ets = math.sqrt(mask.bit_count() * count)
             self._endpoints[record.pair] = record
-            source, dest = pair
+            source, dest = record.pair
             if source == dest:  # self-loops never form paths
                 continue
+            keys = by_pair[record.pair][1]
             forward.setdefault(source, []).append((dest, keys, count, mask))
             # negated ranks in ascending order: the latest key comes first and
             # "the latest key before k" is "the first negated key after -k"

@@ -8,14 +8,14 @@ becomes two distinct nodes, which keeps trees cycle-free even though the
 underlying graph is not. Every function here refreshes stale scores
 before it reads one. Each takes a `store.PathReader`: an `AlertStore`, or
 an `AlertLog`, which answers the same lookups by deriving paths from the
-alert log. Both feed their paths to one trie builder.
+alert log. One function builds both kinds of tree from the paths.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Literal
+from typing import Literal
 
-from .model import AlertTree, EndpointPair, EndpointRecord, PathRecord, TreeNode, normalize_color
+from .model import AlertTree, EndpointPair, PathRecord, TreeNode, normalize_color
 from .store import PathReader, recompute_threat_scores
 
 Direction = Literal["forward", "backward"]
@@ -65,32 +65,21 @@ def top_trees(store: PathReader, k: int, direction: Direction = "forward") -> li
 
 
 def _build_tree(store: PathReader, root: str, direction: Direction) -> AlertTree:
-    """The store adaptor: the root's paths, read in walk order, and their
-    pairs' ETS."""
-    recompute_threat_scores(store)
-    if direction == "forward":
-        scored = [(p.vertices, p.pts) for p in store.find_paths_starting_at(root)]
-    else:
-        scored = [(p.vertices[::-1], p.pts) for p in store.find_paths_ending_at(root)]
-    return _trie(root, direction, scored, store.endpoint)
-
-
-def _trie(
-    root: str,
-    direction: Direction,
-    scored: list[tuple[tuple[str, ...], float]],
-    endpoint: Callable[[EndpointPair], EndpointRecord],
-) -> AlertTree:
-    """The trie of ``scored``: every path from or to ``root`` as a sequence
-    that starts at the root, with its PTS. ``endpoint`` looks up the record
-    of a path's pair, which holds the ETS of the node the arc leads to.
+    """The trie of every path from or to ``root``, each read as a sequence
+    that starts at the root; a node's ETS is that of the pair its arc stands
+    for.
 
     The path set is prefix- and suffix-closed, so the tree's nodes are
     exactly the root and these sequences, and every proper prefix of one is
     a node too. Siblings keep insertion order: best path first, then label.
     """
+    recompute_threat_scores(store)
     forward = direction == "forward"
-    scored = sorted(scored, key=lambda item: (-item[1], item[0]))
+    if forward:
+        scored = [(p.vertices, p.pts) for p in store.find_paths_starting_at(root)]
+    else:
+        scored = [(p.vertices[::-1], p.pts) for p in store.find_paths_ending_at(root)]
+    scored.sort(key=lambda item: (-item[1], item[0]))
     root_node = TreeNode(root)
     nodes: dict[tuple[str, ...], TreeNode] = {(root,): root_node}
     for sequence, _ in scored:
@@ -104,7 +93,7 @@ def _trie(
             parent, label = sequence[end - 1], sequence[end]
             pair = EndpointPair(parent, label) if forward else EndpointPair(label, parent)
             # scoring raised StoreError already if a stored path's pair were missing
-            child = TreeNode(label, endpoint(pair).ets)
+            child = TreeNode(label, store.endpoint(pair).ets)
             node.children.append(child)
             nodes[sequence[: end + 1]] = child
             node = child

@@ -4,7 +4,8 @@ All output here is byte-deterministic for equal inputs: DOT node
 identifiers number the nodes in preorder, children are emitted in stored
 order, and structured JSON has the bytes of `json.dumps` with sorted keys
 and an indent of 2. Both tree writers walk a tree once with an explicit
-stack, so they render trees of any depth. Path tables read pair counts
+stack, so they render trees of any depth. The structured form is output
+only; the package has no reader for it. Path tables read pair counts
 through the `store.PathReader` interface, so an `AlertStore` and an
 `AlertLog` print the same table.
 """
@@ -12,8 +13,6 @@ through the `store.PathReader` interface, so an `AlertStore` and an
 from __future__ import annotations
 
 import json
-import re
-import reprlib
 
 from .model import AlertTree, PathRecord, TreeNode
 from .store import PathReader, recompute_threat_scores
@@ -120,93 +119,6 @@ def tree_to_structured(tree: AlertTree) -> str:
             stack.append("," + child_pad)
         stack[-1] = child_pad  # no comma before the first child
     return "".join(out)
-
-
-def tree_from_structured(text: str) -> AlertTree:
-    """Inverse of tree_to_structured.
-
-    Anything that is not such a document raises `ValueError`: bad JSON, a
-    missing key, a non-object node, a direction other than ``forward`` or
-    ``backward``, a non-string label, an ``ets`` that is neither null nor
-    a number, or a colour that is not ``#RRGGBB``. So does a tree of more
-    than `MAX_TREE_LEVELS` levels, counted as `json.loads` builds each
-    object, before any field is checked. `json.loads` recurses per nesting
-    level, and how deep it can go differs between Python versions (about
-    490 tree levels on 3.10 and 3.11, 740 on 3.12, 1,990 on 3.13); the cap
-    sits below all of them, so every version reads the same trees.
-    """
-    try:
-        payload = json.loads(text, object_pairs_hook=_object_with_levels)
-    except RecursionError:
-        raise ValueError("structured tree nests too deep to read") from None
-    direction = _member(payload, "direction")
-    if direction not in ("forward", "backward"):
-        raise ValueError(
-            f"direction must be 'forward' or 'backward', got {reprlib.repr(direction)}"
-        )
-    root_obj = _member(payload, "root")
-    root = _node_from_obj(root_obj)
-    stack = [(root, root_obj)]
-    while stack:
-        node, obj = stack.pop()
-        children = _member(obj, "children")
-        if not isinstance(children, list):
-            raise ValueError(f"children must be a list, got {reprlib.repr(children)}")
-        for child_obj in children:
-            child = _node_from_obj(child_obj)
-            node.children.append(child)
-            stack.append((child, child_obj))
-    return AlertTree(root, direction)
-
-
-_COLOR = re.compile(r"#[0-9A-Fa-f]{6}")
-MAX_TREE_LEVELS = 400
-
-
-class _LeveledObject(dict):
-    """A JSON object that knows how many tree levels it heads through its
-    ``children``: 1 for a leaf."""
-
-    __slots__ = ("levels",)
-
-
-def _object_with_levels(pairs: list[tuple[str, object]]) -> _LeveledObject:
-    """`json.loads`'s object hook: it builds objects innermost first and
-    rejects one that heads more than `MAX_TREE_LEVELS` levels."""
-    obj = _LeveledObject(pairs)
-    children = obj.get("children")
-    below = 0
-    if isinstance(children, list):
-        below = max((c.levels for c in children if isinstance(c, _LeveledObject)), default=0)
-    if below >= MAX_TREE_LEVELS:
-        raise ValueError(
-            f"structured tree nests too deep: more than {MAX_TREE_LEVELS} levels"
-        )
-    obj.levels = below + 1
-    return obj
-
-
-def _member(obj: object, key: str) -> object:
-    if not isinstance(obj, dict):
-        raise ValueError(
-            f"a structured tree and its nodes are JSON objects, got {reprlib.repr(obj)}"
-        )
-    try:
-        return obj[key]
-    except KeyError:
-        raise ValueError(f"structured tree object has no {key!r}") from None
-
-
-def _node_from_obj(obj: object) -> TreeNode:
-    """One node without its children, its fields checked."""
-    label, ets, color = (_member(obj, key) for key in ("label", "ets", "color"))
-    if not isinstance(label, str):
-        raise ValueError(f"label must be a string, got {reprlib.repr(label)}")
-    if ets is not None and (type(ets) is bool or not isinstance(ets, (int, float))):
-        raise ValueError(f"ets must be null or a number, got {reprlib.repr(ets)}")
-    if not (isinstance(color, str) and _COLOR.fullmatch(color)):
-        raise ValueError(f"color must be '#RRGGBB', got {reprlib.repr(color)}")
-    return TreeNode(label, ets, int(color[1:], 16))
 
 
 # ---------------------------------------------------------------------------

@@ -96,14 +96,20 @@ class PathReader:
         staleness flag, is always False. Each call selects from every
         record with a k-bounded heap.
         """
+        if k < 0:
+            raise ValueError(f"k must be non-negative, got {k}")
         recompute_threat_scores(self)
-        return rank_endpoints(self._endpoints.values(), k), self.scores_stale
+        ranked = heapq.nsmallest(k, self._endpoints.values(), key=lambda r: (-r.ets, r.pair))
+        return ranked, self.scores_stale
 
     def top_paths_by_pts(self, k: int) -> tuple[list[PathRecord], bool]:
         """k highest PTS values, ties broken by vertex sequence; fresh like
         `top_endpoints_by_ets`."""
+        if k < 0:
+            raise ValueError(f"k must be non-negative, got {k}")
         recompute_threat_scores(self)
-        return rank_paths(self.paths(), k), self.scores_stale
+        ranked = heapq.nsmallest(k, self.paths(), key=lambda p: (-p.pts, p.vertices))
+        return ranked, self.scores_stale
 
     def stats(self) -> StoreStats:
         records = self._endpoints.values()
@@ -245,22 +251,6 @@ class AlertStore(PathReader):
             insert_alert(self, alert)
 
 
-def rank_endpoints(records: Iterable[EndpointRecord], k: int) -> list[EndpointRecord]:
-    """The k records of highest ETS, ties broken by pair, selected with a
-    k-bounded heap; the scores must be fresh."""
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    return heapq.nsmallest(k, records, key=lambda r: (-r.ets, r.pair))
-
-
-def rank_paths(paths: Iterable[PathRecord], k: int) -> list[PathRecord]:
-    """The k paths of highest PTS, ties broken by vertex sequence, selected
-    with a k-bounded heap; the scores must be fresh."""
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    return heapq.nsmallest(k, paths, key=lambda p: (-p.pts, p.vertices))
-
-
 def write_snapshot(destination: str | Path, records: Iterable[EndpointRecord]) -> None:
     """Write an alert log to one portable file, atomically and durably.
 
@@ -371,23 +361,15 @@ def recompute_threat_scores(store: PathReader) -> tuple[int, int]:
     changed records, (0, 0) at once when none is stale.
 
     A score is sqrt(distinct sids x alerts), as `threat_score` computes it.
-    Each pair is reduced once to (alert count, sid bitmask); a path's value
-    is its one-hop-shorter prefix's combined with its last pair's. Paths are
-    visited in stored order, which puts every prefix first.
+    `reduce_pairs` reduces each pair once to (alert count, sid mask); a
+    path's value is its one-hop-shorter prefix's combined with its last
+    pair's. Paths are visited in stored order, which puts every prefix first.
     """
     if not store.scores_stale:
         return 0, 0
-    bits: dict[int, int] = {}
     arcs: dict[tuple[str, str], tuple[int, int]] = {}
     endpoints_updated = 0
-    for record in store.endpoints():
-        mask = 0
-        for alert in record.alerts:
-            bit = bits.get(alert.sid)
-            if bit is None:
-                bit = bits[alert.sid] = 1 << len(bits)
-            mask |= bit
-        count = len(record.alerts)
+    for record, count, mask in reduce_pairs(store.endpoints()):
         arcs[record.pair] = (count, mask)
         score = math.sqrt(mask.bit_count() * count)
         if score != record.ets:
@@ -412,6 +394,24 @@ def recompute_threat_scores(store: PathReader) -> tuple[int, int]:
             paths_updated += 1
     store.scores_stale = False
     return endpoints_updated, paths_updated
+
+
+def reduce_pairs(
+    records: Iterable[EndpointRecord],
+) -> Iterator[tuple[EndpointRecord, int, int]]:
+    """Each record with its pair reduced to (alert count, sid mask), the
+    integer sums that ETS and PTS are computed from. A sid gets its bit when
+    it is first seen, so masks compare only within one call.
+    """
+    bits: dict[int, int] = {}
+    for record in records:
+        mask = 0
+        for sid in {alert.sid for alert in record.alerts}:
+            bit = bits.get(sid)
+            if bit is None:
+                bit = bits[sid] = 1 << len(bits)
+            mask |= bit
+        yield record, len(record.alerts), mask
 
 
 def _dump(obj: dict) -> str:

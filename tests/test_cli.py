@@ -251,6 +251,27 @@ def test_bench_chain_output(capsys):
     assert out.strip() == "endpoints=4 paths=10 OK"
 
 
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        ("1_0", "non-negative integer"),
+        ("\u0663", "non-negative integer"),  # Arabic-Indic three
+        (" 4", "non-negative integer"),
+        ("+4", "non-negative integer"),
+        ("-1", "non-negative integer"),
+        ("0", "must be positive"),
+    ],
+    ids=["underscore", "non-ascii-digit", "leading-space", "plus-sign", "negative", "zero"],
+)
+def test_bench_chain_length_takes_ascii_digits_only(capsys, n, message):
+    try:
+        code = main(["bench", "chain", "--n", n])
+    except SystemExit as exc:  # argparse's own rejection
+        code = exc.code
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
 def test_exit_codes_distinct(capsys, store_dir, tmp_path):
     # store error: querying a store that does not exist
     code, _, err = run(capsys, "stats", "--store", str(store_dir))

@@ -7,8 +7,6 @@ import json
 import re
 import sys
 
-import pytest
-
 from alertpaths.bench import (
     build_store,
     build_store_with_reinsertion,
@@ -19,11 +17,9 @@ from alertpaths.ingest import ingest_stream
 from alertpaths.model import AlertTree, TreeNode
 from alertpaths.query import build_backward_tree, build_forward_tree, retrieve_paths
 from alertpaths.render import (
-    MAX_TREE_LEVELS,
     color_hex,
     format_score,
     paths_to_table,
-    tree_from_structured,
     tree_to_dot,
     tree_to_structured,
 )
@@ -153,7 +149,7 @@ def test_structured_round_trip_exact():
     ):
         tree = builder(store, "b")
         text = tree_to_structured(tree)
-        assert tree_from_structured(text) == tree
+        assert json.loads(text) == reference_payload(tree)
 
 
 def test_structured_color_strings_match_node_values():
@@ -172,9 +168,8 @@ def test_structured_is_byte_deterministic():
     assert a == b
 
 
-def reference_structured(tree: AlertTree) -> str:
-    """The structured form as the stdlib encoder writes it from a nested
-    payload: the bytes `tree_to_structured` must reproduce."""
+def reference_payload(tree: AlertTree) -> dict:
+    """The nested payload that the structured form encodes."""
 
     def node_to_obj(node: TreeNode) -> dict:
         return {
@@ -184,11 +179,16 @@ def reference_structured(tree: AlertTree) -> str:
             "children": [node_to_obj(child) for child in node.children],
         }
 
-    payload = {"direction": tree.direction, "root": node_to_obj(tree.root)}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return {"direction": tree.direction, "root": node_to_obj(tree.root)}
 
 
-def test_structured_renders_any_depth_and_reads_to_the_json_limit():
+def reference_structured(tree: AlertTree) -> str:
+    """The structured form as the stdlib encoder writes it from the nested
+    payload: the bytes `tree_to_structured` must reproduce."""
+    return json.dumps(reference_payload(tree), sort_keys=True, indent=2) + "\n"
+
+
+def test_structured_renders_any_depth():
     # the writer keeps no stack of Python frames, so depth is not capped
     tree = deep_chain_tree(600)
     text = tree_to_structured(tree)
@@ -200,22 +200,6 @@ def test_structured_renders_any_depth_and_reads_to_the_json_limit():
         sys.setrecursionlimit(limit)
     assert text == expected
     assert tree_to_dot(tree).count(" -> ") == 599
-    # reading goes through json.loads, which still recurses per level
-    with pytest.raises(ValueError, match="too deep"):
-        tree_from_structured(text)
-    text = tree_to_structured(deep_chain_tree(400))
-    assert tree_to_structured(tree_from_structured(text)) == text
-    nested = '{"direction": "forward", "root": ' + '{"children": [' * 600
-    with pytest.raises(ValueError, match="too deep"):
-        tree_from_structured(nested + "]}" * 600 + "}")
-
-
-def test_structured_reader_caps_the_levels_on_every_version():
-    # json.loads nests deeper from Python 3.12 on; the reader's own cap does not move
-    text = tree_to_structured(deep_chain_tree(MAX_TREE_LEVELS))
-    assert tree_to_structured(tree_from_structured(text)) == text
-    with pytest.raises(ValueError, match=f"more than {MAX_TREE_LEVELS} levels"):
-        tree_from_structured(tree_to_structured(deep_chain_tree(MAX_TREE_LEVELS + 1)))
 
 
 def test_structured_bytes_equal_the_stdlib_encoder_on_built_trees():
@@ -247,7 +231,7 @@ def test_structured_bytes_equal_the_stdlib_encoder_on_awkward_scalars():
         tree = AlertTree(root, direction)
         text = tree_to_structured(tree)
         assert text == reference_structured(tree)
-        assert tree_from_structured(text) == tree
+        assert json.loads(text) == reference_payload(tree)
     # every scalar took a non-trivial path through the encoder
     assert "\\u00e9" in text and "\\u2028" in text and "\\ud83d\\udea8" in text
     assert "1e+16" in text and "Infinity" in text and "1.4142135623730951" in text
@@ -268,69 +252,6 @@ def test_tree_bytes_match_recorded_digests():
                 digest = hashlib.sha256(render(tree).encode("utf-8")).hexdigest()
                 lines.append(f"{digest}  {direction} {root} {fmt}")
     assert lines == (DATA_DIR / "trees_seed7.sha256").read_text(encoding="utf-8").splitlines()
-
-
-def _structured(**changes: object) -> str:
-    node = {"children": [], "color": "#0D0000", "ets": 1.0, "label": "b"}
-    root = {"children": [node], "color": "#000000", "ets": None, "label": "a"}
-    payload = {"direction": "forward", "root": root}
-    for key, value in changes.items():
-        where, _, field = key.partition("__")
-        target = {"tree": payload, "root": root, "node": node}[where]
-        if value is MISSING:
-            del target[field]
-        else:
-            target[field] = value
-    return json.dumps(payload)
-
-
-MISSING = object()
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        pytest.param("[]", id="tree-not-object"),
-        pytest.param('"forward"', id="tree-string"),
-        pytest.param(_structured(tree__direction=MISSING), id="no-direction"),
-        pytest.param(_structured(tree__root=MISSING), id="no-root"),
-        pytest.param(_structured(tree__root=["a"]), id="root-not-object"),
-        pytest.param(_structured(tree__direction="sideways"), id="direction-sideways"),
-        pytest.param(_structured(tree__direction="Forward"), id="direction-case"),
-        pytest.param(_structured(tree__direction=None), id="direction-null"),
-        pytest.param(_structured(root__children=MISSING), id="no-children"),
-        pytest.param(_structured(root__children={}), id="children-not-list"),
-        pytest.param(_structured(root__children=[7]), id="child-not-object"),
-        pytest.param(_structured(node__label=MISSING), id="no-label"),
-        pytest.param(_structured(node__ets=MISSING), id="no-ets"),
-        pytest.param(_structured(node__color=MISSING), id="no-color"),
-        pytest.param(_structured(node__label=7), id="label-number"),
-        pytest.param(_structured(node__label=None), id="label-null"),
-        pytest.param(_structured(node__ets="1.0"), id="ets-string"),
-        pytest.param(_structured(node__ets=True), id="ets-bool"),
-        pytest.param(_structured(node__ets=[1.0]), id="ets-list"),
-        pytest.param(_structured(node__color=13), id="color-number"),
-        pytest.param(_structured(node__color="0D0000"), id="color-no-hash"),
-        pytest.param(_structured(node__color="#D0000"), id="color-short"),
-        pytest.param(_structured(node__color="##0D0000"), id="color-two-hashes"),
-        pytest.param(_structured(node__color="#0x0D00"), id="color-0x"),
-        pytest.param(_structured(node__color="#0D_000"), id="color-underscore"),
-        pytest.param(_structured(node__color="#0D0000 "), id="color-space"),
-        pytest.param(_structured(node__color="#GG0000"), id="color-not-hex"),
-        pytest.param("{", id="not-json"),
-    ],
-)
-def test_structured_reader_rejects_malformed_trees(text):
-    with pytest.raises(ValueError):
-        tree_from_structured(text)
-
-
-def test_structured_reader_accepts_its_own_form():
-    tree = tree_from_structured(_structured())
-    assert tree == AlertTree(
-        TreeNode("a", None, 0, [TreeNode("b", 1.0, 0x0D0000)]), "forward"
-    )
-    assert tree_from_structured(_structured(node__color="#0d0000")).root.children[0].color == 0x0D0000
 
 
 # ---------------------------------------------------------------------------
