@@ -188,17 +188,19 @@ def reference_structured(tree: AlertTree) -> str:
     return json.dumps(reference_payload(tree), sort_keys=True, indent=2) + "\n"
 
 
-def test_structured_renders_any_depth():
+def test_structured_renders_any_depth_and_reads_to_the_json_limit():
     # the writer keeps no stack of Python frames, so depth is not capped
     tree = deep_chain_tree(600)
     text = tree_to_structured(tree)
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(10_000)  # the reference nests a frame per level
+    sys.setrecursionlimit(10_000)  # the reference and json.loads nest a frame per level
     try:
         expected = reference_structured(tree)
+        read = json.loads(text) == reference_payload(tree)
     finally:
         sys.setrecursionlimit(limit)
     assert text == expected
+    assert read
     assert tree_to_dot(tree).count(" -> ") == 599
 
 
