@@ -22,13 +22,12 @@ import math
 from bisect import bisect_right
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator
 
 from .errors import StoreError
-from .model import Alert, EndpointPair, EndpointRecord, PathRecord
+from .model import Alert, Direction, EndpointPair, EndpointRecord, PathRecord
 from .store import PathReader, read_snapshot, reduce_pairs
 
-Direction = Literal["forward", "backward"]
 # One arc as a search takes it: the vertex it reaches, its keys in the
 # order the search takes them, its alert count and its sid mask.
 _Step = tuple[str, list[int], int, int]
@@ -63,7 +62,7 @@ class AlertLog(PathReader):
         forward: dict[str, list[_Step]] = {}
         backward: dict[str, list[_Step]] = {}
         records = (
-            EndpointRecord(EndpointPair(*pair), by_pair[pair][0]) for pair in sorted(by_pair)
+            EndpointRecord(EndpointPair(*pair), alerts) for pair, (alerts, _) in by_pair.items()
         )
         for record, count, mask in reduce_pairs(records):
             record.ets = math.sqrt(mask.bit_count() * count)

@@ -83,9 +83,15 @@ def reinsert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
     Each end is first pruned in O(1) on the keys of the pair next to the
     arc, and suffixes are read only when some prefix qualifies. An end that
     passes the prune is walked once, hop by hop, over its pairs' sorted
-    keys, which are read once per call. New paths are inserted shortest
-    first, so each comes after its one-hop-shorter prefix, which is stored
-    or new and shorter, as `insert_path` requires.
+    keys, which are read once per call.
+
+    New paths are inserted in the order they are built, suffix by suffix,
+    and each L + R still comes after its one-hop-shorter prefix
+    L + R[:-1], as `insert_path` requires. Either R[:-1] is itself a
+    qualifying suffix, and an earlier one: the suffixes start with the
+    bare ``(d,)`` and then follow `find_paths_starting_at`'s prefix-first
+    order. Or R[:-1] failed the window because l(R[:-1]) > k_next, so
+    k_next already joins L to R[:-1] and that path is stored.
     """
     source, dest = alert.source, alert.destination
     _, created = store.upsert_endpoint(alert)
@@ -144,13 +150,10 @@ def reinsert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
             rights.append(vertices)
 
     members = [(left, set(left)) for left in lefts]
-    created_paths = [
-        left + right
-        for right in rights
-        for left, vertex_set in members
-        if vertex_set.isdisjoint(right)
-    ]
-    created_paths.sort(key=len)  # stable: equal lengths keep the loop order
-    for vertices in created_paths:
-        store.insert_path(PathRecord(vertices))
-    return InsertOutcome(int(created), len(created_paths))
+    paths_created = 0
+    for right in rights:  # prefix-first, so each L + R comes after L + R[:-1]
+        for left, vertex_set in members:
+            if vertex_set.isdisjoint(right):
+                store.insert_path(PathRecord(left + right))
+                paths_created += 1
+    return InsertOutcome(int(created), paths_created)

@@ -17,6 +17,8 @@ from typing import Any, Iterable, Literal, NamedTuple, Sequence
 # An alert's position in the stream: (epoch microseconds, ingestion ordinal).
 # The ordinal is unique per store, so these keys form a strict total order.
 OrderKey = tuple[int, int]
+# Which way an alert tree or a derivation walk reads paths from its root.
+Direction = Literal["forward", "backward"]
 
 
 class EndpointPair(NamedTuple):
@@ -124,7 +126,7 @@ class AlertTree:
     """A trie of stored paths sharing an origin (forward) or target (backward)."""
 
     root: TreeNode
-    direction: Literal["forward", "backward"]
+    direction: Direction
 
     def nodes(self) -> list[TreeNode]:
         """All nodes in preorder, root first."""

@@ -13,12 +13,8 @@ alert log. One function builds both kinds of tree from the paths.
 
 from __future__ import annotations
 
-from typing import Literal
-
-from .model import AlertTree, EndpointPair, PathRecord, TreeNode, normalize_color
+from .model import AlertTree, Direction, EndpointPair, PathRecord, TreeNode, normalize_color
 from .store import PathReader, recompute_threat_scores
-
-Direction = Literal["forward", "backward"]
 
 
 def retrieve_paths(store: PathReader, origin: str, target: str) -> list[PathRecord]:

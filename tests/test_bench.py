@@ -154,6 +154,8 @@ def test_complexity_occurrence_law_midpair():
 def test_complexity_tables_reject_bad_input():
     with pytest.raises(ValueError):
         verify_complexity_tables(0)
+    with pytest.raises(ValueError, match="at most 400"):
+        verify_complexity_tables(401)
 
 
 def test_complexity_tables_across_small_range():

@@ -54,7 +54,7 @@ def ingest_fixture(capsys, store_dir, csv_feed) -> None:
     assert code == EXIT_OK
 
 
-def test_ingest_reports_json(capsys, store_dir, csv_feed):
+def test_ingest_reports_json(capsys, store_dir, csv_feed, tmp_path):
     code, out, err = run(
         capsys,
         "ingest", "--store", str(store_dir), "--input", str(csv_feed),
@@ -66,6 +66,16 @@ def test_ingest_reports_json(capsys, store_dir, csv_feed):
     assert report["inserted"] == 3
     assert report["errors"] == 0
     assert (store_dir / "store.jsonl").exists()
+    assert err == ""
+    # progress goes to stderr once per 1,000 alerts of the batch
+    big = tmp_path / "big.csv"
+    big.write_text("".join(f"a,b,{4000 + i},1\n" for i in range(1000)), encoding="utf-8")
+    code, out, err = run(
+        capsys, "ingest", "--store", str(store_dir), "--input", str(big), "--format", "csv"
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["inserted"] == 1000
+    assert err == "processed 1000 alerts\n"
 
 
 def test_stats_roundtrip(capsys, store_dir, csv_feed):
@@ -260,8 +270,12 @@ def test_bench_chain_output(capsys):
         ("+4", "non-negative integer"),
         ("-1", "non-negative integer"),
         ("0", "must be positive"),
+        ("100000", "at most 400"),  # refused before any chain is built
     ],
-    ids=["underscore", "non-ascii-digit", "leading-space", "plus-sign", "negative", "zero"],
+    ids=[
+        "underscore", "non-ascii-digit", "leading-space", "plus-sign", "negative", "zero",
+        "above-ceiling",
+    ],
 )
 def test_bench_chain_length_takes_ascii_digits_only(capsys, n, message):
     try:

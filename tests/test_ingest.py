@@ -200,6 +200,8 @@ def test_parse_csv_error_cases():
                  "a,b,\uff11\uff12,3", "a,b,12,\uff13", "a,b,-,3", "a,b,--1,3"):
         with pytest.raises(ParseError):
             parse_csv_line(line)
+    with pytest.raises(ParseError, match="non-empty string endpoints"):
+        parse_csv_line(",b,1,2")
 
 
 # ---------------------------------------------------------------------------

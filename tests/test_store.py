@@ -351,6 +351,8 @@ def test_load_rejects_garbage(tmp_path):
     header = '{"endpoints":1,"format":"alert-path-store","version":3}\n'
     endpoint = '{"alerts":[[1,1,0]],"dst":"b","src":"a"}\n'
     malformed = [
+        "",
+        "[]\n",  # JSON, but not an object
         '{"format":"alert-path-store","version":3}\n',
         '{"endpoints":"x","format":"alert-path-store","version":3}\n' + endpoint,
         '{"endpoints":-1,"format":"alert-path-store","version":3}\n',
