@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import StoreError
-from .model import Alert, Direction, EndpointPair, EndpointRecord, PathRecord
+from .model import Alert, Direction, EndpointPair, EndpointRecord, PathRecord, alert_key
 from .store import PathReader, read_snapshot, reduce_pairs
 
 # One arc as a search takes it: the vertex it reaches, its keys in the
@@ -38,16 +37,17 @@ class AlertLog(PathReader):
 
     Built from alerts with unique ordinals. Each alert's (time, seq) key is
     replaced by its rank, which keeps the order. Per pair it keeps an
-    `EndpointRecord` with its ETS and, for each direction, the arc's ranks
-    and the (alert count, sid mask) sums that give PTS. `store.reduce_pairs`
-    computes those sums for `recompute_threat_scores` too, so every score is
-    bit-equal to the store's.
+    `EndpointRecord`, alerts in rank order, with its ETS and, for each
+    direction, the arc's ranks and the (alert count, sid mask) sums that
+    give PTS. `store.reduce_pairs` computes those sums for
+    `recompute_threat_scores` too, so every score is bit-equal to the
+    store's.
     The lookups that return paths derive them on each call; scores are
     computed as they are derived, so they are never stale.
     """
 
     def __init__(self, alerts: Iterable[Alert]) -> None:
-        ordered = sorted(alerts, key=attrgetter("time_us", "seq"))
+        ordered = sorted(alerts, key=alert_key)
         if len({alert.seq for alert in ordered}) != len(ordered):
             raise StoreError("ingestion ordinals must be unique")
         by_pair: dict[tuple[str, str], tuple[list[Alert], list[int]]] = {}

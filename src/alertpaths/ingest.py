@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
 from typing import Callable, Iterable, Literal
 
@@ -50,15 +50,7 @@ class IngestReport:
         return len(self.errors)
 
     def to_dict(self) -> dict:
-        return {
-            "parsed": self.parsed,
-            "skipped": self.skipped,
-            "inserted": self.inserted,
-            "reinserted": self.reinserted,
-            "errors": self.error_count,
-            "endpoints_created": self.endpoints_created,
-            "paths_created": self.paths_created,
-        }
+        return {**asdict(self), "errors": self.error_count}
 
 
 def parse_timestamp(text: str) -> int:

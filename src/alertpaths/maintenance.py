@@ -21,7 +21,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import OutOfOrderError
-from .model import Alert, OrderKey, PathRecord
+from .model import Alert, OrderKey, PathRecord, alert_key
 from .store import AlertStore
 
 
@@ -80,10 +80,11 @@ def reinsert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
     vertex-disjoint combination of qualifying ends is new, and none is
     checked against the store.
 
-    Each end is first pruned in O(1) on the keys of the pair next to the
-    arc, and suffixes are read only when some prefix qualifies. An end that
-    passes the prune is walked once, hop by hop, over its pairs' sorted
-    keys, which are read once per call.
+    Records keep key order, so the arc's own is bisected in place. Every
+    other pair's keys are copied, never sorted, once per call. Each end is
+    first pruned in O(1) on the keys of the pair next to the arc, and
+    suffixes are read only when some prefix qualifies. An end that passes
+    is walked once, hop by hop, over its pairs' keys.
 
     New paths are inserted in the order they are built, suffix by suffix,
     and each L + R still comes after its one-hop-shorter prefix
@@ -94,16 +95,16 @@ def reinsert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
     k_next already joins L to R[:-1] and that path is stored.
     """
     source, dest = alert.source, alert.destination
-    _, created = store.upsert_endpoint(alert)
+    record, created = store.upsert_endpoint(alert)
     if source == dest:
         return InsertOutcome(int(created), 0)
 
-    sorted_keys: dict[tuple[str, ...], list[OrderKey]] = {}
+    copied_keys: dict[tuple[str, ...], list[OrderKey]] = {}
 
     def keys_of(pair: tuple[str, ...]) -> list[OrderKey]:
-        found = sorted_keys.get(pair)
+        found = copied_keys.get(pair)
         if found is None:  # insert_path stores no path without its pairs' records
-            found = sorted_keys[pair] = sorted(a.key for a in store.endpoint(pair).alerts)
+            found = copied_keys[pair] = list(map(alert_key, store.endpoint(pair).alerts))
         return found
 
     # keys are unique across the store, so bisect_left and bisect_right agree in a walk
@@ -115,12 +116,11 @@ def reinsert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
         return found
 
     key = alert.key
-    pair_keys = keys_of(alert.pair)
-    at = bisect_left(pair_keys, key)
+    at = bisect_left(record.alerts, key, key=alert_key)  # in place: it may hold most of the log
     # k_prev < e(L) < k and k < l(R) < k_next hold strictly; an infinite
     # one-element tuple stands in for a missing neighbour
-    lo = pair_keys[at - 1] if at else (-math.inf,)
-    hi = pair_keys[at + 1] if at + 1 < len(pair_keys) else (math.inf,)
+    lo = record.alerts[at - 1].key if at else (-math.inf,)
+    hi = record.alerts[at + 1].key if at + 1 < len(record.alerts) else (math.inf,)
 
     lefts = [(source,)] if at == 0 else []
     for path in store.find_paths_ending_at(source):
@@ -140,7 +140,7 @@ def reinsert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
             found = keys[bisect_left(keys, found) - 1]
         return found
 
-    rights = [(dest,)] if at + 1 == len(pair_keys) else []
+    rights = [(dest,)] if at + 1 == len(record.alerts) else []
     for path in store.find_paths_starting_at(dest):
         vertices = path.vertices
         keys = keys_of(vertices[:2])

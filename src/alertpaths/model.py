@@ -12,11 +12,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Literal, NamedTuple, Sequence
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Literal, NamedTuple, Sequence
 
 # An alert's position in the stream: (epoch microseconds, ingestion ordinal).
 # The ordinal is unique per store, so these keys form a strict total order.
 OrderKey = tuple[int, int]
+alert_key: Callable[[Any], OrderKey] = attrgetter("time_us", "seq")  # also `Alert.key`
 # Which way an alert tree or a derivation walk reads paths from its root.
 Direction = Literal["forward", "backward"]
 
@@ -61,14 +63,13 @@ class Alert:
     def pair(self) -> EndpointPair:
         return EndpointPair(self.source, self.destination)
 
-    @property
-    def key(self) -> OrderKey:
-        return (self.time_us, self.seq)
+    key = property(alert_key, doc="The alert's (time_us, seq) `OrderKey`.")
 
 
 @dataclass(slots=True)
 class EndpointRecord:
-    """A communicating pair plus every alert observed on it.
+    """A communicating pair plus every alert observed on it, kept in strictly
+    increasing (time, seq) order, so no reader sorts ``alerts``.
 
     ``ets`` is a cached score. The store's readers refresh it when a
     mutation has made it stale; code that reads ``AlertStore.endpoints()``

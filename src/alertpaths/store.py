@@ -17,8 +17,8 @@ only when they are stale. No other module assigns a score.
 Paths are kept prefix-first: `insert_path` accepts a path only after its
 one-hop-shorter prefix, so `paths()` and the lookups by origin yield every
 path after its prefix.
-Snapshots hold only the alert log, as line-delimited JSON in a canonical
-sort order, which makes equal stores produce byte-identical files.
+Snapshots hold only the alert log, as line-delimited JSON, records by pair
+and alerts as kept, so equal stores produce byte-identical files.
 `read_snapshot` is the one validator of that file. `load` replays what it
 reads through `insert_alert`, so paths are derived again, and scores on the
 first read after it; `derivation.AlertLog` answers the same reads from the
@@ -36,13 +36,14 @@ import heapq
 import json
 import math
 import os
+from bisect import insort
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import StoreError
-from .model import Alert, EndpointPair, EndpointRecord, OrderKey, PathRecord
+from .model import Alert, EndpointPair, EndpointRecord, OrderKey, PathRecord, alert_key
 
 SNAPSHOT_FORMAT = "alert-path-store"
 SNAPSHOT_VERSION = 3
@@ -145,7 +146,7 @@ class AlertStore(PathReader):
     # ------------------------------------------------------------------
 
     def upsert_endpoint(self, alert: Alert) -> tuple[EndpointRecord, bool]:
-        """Append an alert to its pair's record, creating the record if new.
+        """Insert an alert in its pair's record at its key, creating the record if new.
 
         Returns (record, created). The alert's seq must be unused.
         """
@@ -157,7 +158,7 @@ class AlertStore(PathReader):
         if record is None:
             record = EndpointRecord(pair)
             self._endpoints[pair] = record
-        record.alerts.append(alert)
+        insort(record.alerts, alert, key=alert_key)
         self._seqs.add(alert.seq)
         if alert.seq > self._max_seq:
             self._max_seq = alert.seq
@@ -246,7 +247,7 @@ class AlertStore(PathReader):
 
         alerts = read_snapshot(source)
         self.__init__()
-        alerts.sort(key=lambda a: a.key)
+        alerts.sort(key=alert_key)
         for alert in alerts:
             insert_alert(self, alert)
 
@@ -254,8 +255,8 @@ class AlertStore(PathReader):
 def write_snapshot(destination: str | Path, records: Iterable[EndpointRecord]) -> None:
     """Write an alert log to one portable file, atomically and durably.
 
-    Only alerts are written, endpoints by pair with alerts by (time, seq),
-    so equal logs produce byte-identical files.
+    Only alerts are written, endpoints by pair with alerts as each record
+    keeps them, by (time, seq), so equal logs produce byte-identical files.
     """
     destination = Path(destination)
     records = sorted(records, key=lambda r: r.pair)
@@ -271,10 +272,7 @@ def write_snapshot(destination: str | Path, records: Iterable[EndpointRecord]) -
                 {
                     "src": record.pair.source,
                     "dst": record.pair.destination,
-                    "alerts": [
-                        [a.time_us, a.sid, a.seq]
-                        for a in sorted(record.alerts, key=lambda a: a.key)
-                    ],
+                    "alerts": [[a.time_us, a.sid, a.seq] for a in record.alerts],
                 }
             )
         )

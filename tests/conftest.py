@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from alertpaths.model import Alert, AlertTree, TreeNode
-from alertpaths.store import AlertStore, recompute_threat_scores
+from alertpaths.model import Alert, AlertTree, EndpointRecord, TreeNode
+from alertpaths.store import AlertStore, PathReader, recompute_threat_scores
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -30,18 +30,29 @@ def deep_chain_tree(levels: int) -> AlertTree:
     return AlertTree(root, "forward")
 
 
+def assert_key_order(reader: PathReader) -> None:
+    """Every record lists its alerts in strictly increasing (time, seq) order."""
+    for record in reader.endpoints():
+        keys = [alert.key for alert in record.alerts]
+        assert all(a < b for a, b in zip(keys, keys[1:])), (record.pair, keys)
+
+
 def canonical_state(store: AlertStore) -> str:
     """Everything a store holds, in a canonical order: each endpoint with its
-    sorted alert keys, sids and ETS, then each path with its PTS.
+    alert keys and sids as the record keeps them, and its ETS, then each path
+    with its PTS.
 
     Snapshots hold only alerts, so comparing this dump is what shows that
-    two stores derived the same paths and scores. It reads the cached
-    scores directly, so it refreshes them first, as every store reader does.
+    two stores derived the same paths and scores. It first asserts the
+    records' key order, which leaves their alerts nothing to sort. It reads
+    the cached scores directly, so it refreshes them first, as every store
+    reader does.
     """
+    assert_key_order(store)
     recompute_threat_scores(store)
     lines = []
     for record in sorted(store.endpoints(), key=lambda r: r.pair):
-        alerts = sorted([a.time_us, a.seq, a.sid] for a in record.alerts)
+        alerts = [[a.time_us, a.seq, a.sid] for a in record.alerts]
         lines.append(json.dumps([list(record.pair), alerts, record.ets]))
     for path in sorted(store.paths(), key=lambda p: p.vertices):
         lines.append(json.dumps([list(path.vertices), path.pts]))
@@ -72,6 +83,28 @@ class UnscannableDict(dict):
 
 def forbid_path_scans(store: AlertStore) -> None:
     store._paths = UnscannableDict(store._paths)
+
+
+class UnscannableList(list):
+    """A list whose indexed reads and inserts work but whose scans fail the test.
+
+    Swapped in for a record's alerts, it shows that the record was read by
+    position and bisection instead of being walked, copied or sorted.
+    """
+
+    def _scan(self, *args, **kwargs):
+        raise AssertionError("scanned every alert of a pair")
+
+    __iter__ = __reversed__ = copy = sort = _scan
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            self._scan()
+        return super().__getitem__(index)
+
+
+def forbid_alert_scans(record: EndpointRecord) -> None:
+    record.alerts = UnscannableList(record.alerts)
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from alertpaths import bench
 from alertpaths.bench import (
     ORACLE_MAX_ALERTS,
     ORACLE_MAX_NODES,
@@ -56,6 +57,10 @@ def test_random_stream_shape():
     times = [a.time_us for a in alerts]
     assert times == sorted(times)
     assert len(set(times)) < len(times)  # occasional ties
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        generate_random(1, 5, seed=1)
+    with pytest.raises(ValueError, match="non-negative"):
+        generate_random(5, -1, seed=1)
 
 
 def test_random_stream_regression_fixture():
@@ -74,6 +79,10 @@ def test_fanout_stream_bounds_out_degree():
         assert alert.source != alert.destination
         out_neighbors.setdefault(alert.source, set()).add(alert.destination)
     assert max(len(v) for v in out_neighbors.values()) <= 3
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        generate_fanout_stream(1, 10, 3, seed=2)
+    with pytest.raises(ValueError, match="fan-out must be positive"):
+        generate_fanout_stream(30, 10, 0, seed=2)
 
 
 # ---------------------------------------------------------------------------
@@ -161,3 +170,18 @@ def test_complexity_tables_reject_bad_input():
 def test_complexity_tables_across_small_range():
     for arcs in range(1, 12):
         assert verify_complexity_tables(arcs).ok
+
+
+def test_complexity_tables_name_each_miss(monkeypatch):
+    # a chain one arc short misses every closed form at E = 3
+    monkeypatch.setattr(bench, "generate_chain", lambda n: generate_chain(n - 1))
+    report = verify_complexity_tables(3)
+    assert not report.ok
+    assert report.failures == (
+        "path count 3 != expected 6",
+        "endpoint count 2 != expected 3",
+        "pair 1 appears in 2 paths, expected 3",
+        "pair 2 appears in 2 paths, expected 4",
+        "pair 3 appears in 0 paths, expected 3",
+        "total occurrences 4 != expected 10",
+    )

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from alertpaths import maintenance, query, render
+from alertpaths import bench, maintenance, query, render
 from alertpaths import store as store_module
 from alertpaths.bench import generate_fanout_stream
 from alertpaths.cli import EXIT_ERROR, EXIT_OK, EXIT_PARSE, EXIT_STORE, EXIT_USAGE, main
@@ -259,6 +259,28 @@ def test_bench_chain_output(capsys):
     code, out, _ = run(capsys, "bench", "chain", "--n", "4")
     assert code == EXIT_OK
     assert out.strip() == "endpoints=4 paths=10 OK"
+
+
+def test_bench_chain_mismatch_exits_with_failures(capsys, monkeypatch):
+    build = bench.build_store
+
+    def short_of_one_path(alerts):
+        store = build(alerts)
+        store._paths.popitem()  # the longest path, stored last
+        return store
+
+    monkeypatch.setattr(bench, "build_store", short_of_one_path)
+    code, out, err = run(capsys, "bench", "chain", "--n", "4")
+    assert code == EXIT_ERROR
+    assert out == "endpoints=4 paths=9 MISMATCH\n"
+    assert err.splitlines() == [
+        "path count 9 != expected 10",
+        "pair 1 appears in 3 paths, expected 4",
+        "pair 2 appears in 5 paths, expected 6",
+        "pair 3 appears in 5 paths, expected 6",
+        "pair 4 appears in 3 paths, expected 4",
+        "total occurrences 16 != expected 20",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -220,6 +220,11 @@ def test_ingest_mixed_eve_stream(data_dir):
     assert store.stats().alert_count == 3
     # the three alerts chain across hosts
     assert store.stats().path_count == 6
+    # field order, with the error list replaced by its count
+    assert list(report.to_dict().items()) == [
+        ("parsed", 3), ("skipped", 1), ("inserted", 3), ("reinserted", 0),
+        ("errors", 1), ("endpoints_created", 3), ("paths_created", 6),
+    ]
 
 
 def test_ingest_strict_raises_with_line_number(data_dir):

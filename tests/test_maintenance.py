@@ -15,13 +15,20 @@ from alertpaths.bench import (
     generate_chain,
     generate_random,
 )
+from alertpaths.derivation import AlertLog
 from alertpaths.errors import OutOfOrderError, StoreError
 from alertpaths.ingest import ingest_stream
 from alertpaths.maintenance import insert_alert, reinsert_alert
 from alertpaths.model import Alert, EndpointPair
 from alertpaths.store import AlertStore, recompute_threat_scores
 
-from conftest import assert_prefix_first, canonical_state, mk_alert
+from conftest import (
+    assert_key_order,
+    assert_prefix_first,
+    canonical_state,
+    forbid_alert_scans,
+    mk_alert,
+)
 
 
 def stored_vertex_sets(store: AlertStore) -> set[tuple[str, ...]]:
@@ -159,6 +166,9 @@ def test_key_order_replay_of_auto_mode_store():
         for alert in stored:
             insert_alert(replayed, alert)
         assert stored_vertex_sets(replayed) == stored_vertex_sets(auto), seed
+        # reinsertion keeps each record in key order, as the log builds its own
+        assert_key_order(auto)
+        assert_key_order(AlertLog(alerts))
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +338,24 @@ def test_late_repeat_that_unlocks_nothing_reads_no_suffix(monkeypatch):
     outcome = reinsert_alert(store, replace(arc, time_us=arc.time_us + 500, seq=30))
     assert outcome.paths_created == 0
     assert store.stats().path_count == before.path_count
+
+
+def test_reinsert_reads_its_own_pair_in_place():
+    # the late alert's pair is bisected in place and never scanned, so a pair
+    # that holds most of the log costs its late alerts no sort
+    checked = created = 0
+    for seed in range(40):
+        alerts = generate_random(4, 40, seed=700 + seed)
+        late = alerts[random.Random(seed).randrange(len(alerts))]
+        store = build_store(a for a in alerts if a is not late)
+        record = store.endpoint(late.pair)
+        if record is None:  # the late alert opens its pair
+            continue
+        forbid_alert_scans(record)
+        created += reinsert_alert(store, late).paths_created
+        assert stored_vertex_sets(store) == brute_force_paths(alerts), seed
+        checked += 1
+    assert checked >= 30 and created > 0
 
 
 # ---------------------------------------------------------------------------
