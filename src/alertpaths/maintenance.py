@@ -5,13 +5,11 @@ acyclic, chronologically feasible vertex sequences over the alert graph,
 each stored once. In-order alerts take the cheap route (`insert_alert`):
 the new alert is the latest element of the (time, seq) order, so every
 lengthened path is feasible by construction. Late alerts go through
-`reinsert_alert`. A late arc joins a stored prefix and suffix into a new
-path only where no other alert on its pair could join them, so it picks
-those prefixes and suffixes by their greedy keys, each computed by one walk
-over the end's pairs, and joins them without checking any combination
-against the store; beyond those walks, its work follows the paths it
-creates. Neither scores anything: each mutation marks the store's cached
-scores stale, and the store refreshes them when they are next read.
+`reinsert_alert`, which joins stored prefixes and suffixes picked by their
+greedy keys, found by bisecting in place the keys each record keeps, and
+checks no join against the store. Neither scores anything: each mutation
+marks the store's cached scores stale, and the store refreshes them when
+they are next read.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import OutOfOrderError
-from .model import Alert, OrderKey, PathRecord, alert_key
+from .model import Alert, OrderKey, PathRecord
 from .store import AlertStore
 
 
@@ -80,11 +78,9 @@ def reinsert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
     vertex-disjoint combination of qualifying ends is new, and none is
     checked against the store.
 
-    Records keep key order, so the arc's own is bisected in place. Every
-    other pair's keys are copied, never sorted, once per call. Each end is
-    first pruned in O(1) on the keys of the pair next to the arc, and
-    suffixes are read only when some prefix qualifies. An end that passes
-    is walked once, hop by hop, over its pairs' keys.
+    Every pair is read in place, from the keys its record keeps. Each end is
+    pruned in O(1) on the keys of the pair next to the arc, suffixes are read
+    only when some prefix qualifies, and an end that passes is walked once.
 
     New paths are inserted in the order they are built, suffix by suffix,
     and each L + R still comes after its one-hop-shorter prefix
@@ -98,34 +94,27 @@ def reinsert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
     record, created = store.upsert_endpoint(alert)
     if source == dest:
         return InsertOutcome(int(created), 0)
-
-    copied_keys: dict[tuple[str, ...], list[OrderKey]] = {}
-
-    def keys_of(pair: tuple[str, ...]) -> list[OrderKey]:
-        found = copied_keys.get(pair)
-        if found is None:  # insert_path stores no path without its pairs' records
-            found = copied_keys[pair] = list(map(alert_key, store.endpoint(pair).alerts))
-        return found
+    endpoint = store.endpoint  # insert_path stores no path without its pairs' records
 
     # keys are unique across the store, so bisect_left and bisect_right agree in a walk
     def earliest_of(vertices: tuple[str, ...]) -> OrderKey:
-        found = keys_of(vertices[:2])[0]
+        found = endpoint(vertices[:2]).keys[0]
         for hop in range(1, len(vertices) - 1):
-            keys = keys_of(vertices[hop : hop + 2])
+            keys = endpoint(vertices[hop : hop + 2]).keys
             found = keys[bisect_right(keys, found)]
         return found
 
     key = alert.key
-    at = bisect_left(record.alerts, key, key=alert_key)  # in place: it may hold most of the log
+    at = bisect_left(record.keys, key)
     # k_prev < e(L) < k and k < l(R) < k_next hold strictly; an infinite
     # one-element tuple stands in for a missing neighbour
-    lo = record.alerts[at - 1].key if at else (-math.inf,)
-    hi = record.alerts[at + 1].key if at + 1 < len(record.alerts) else (math.inf,)
+    lo = record.keys[at - 1] if at else (-math.inf,)
+    hi = record.keys[at + 1] if at + 1 < len(record.keys) else (math.inf,)
 
     lefts = [(source,)] if at == 0 else []
     for path in store.find_paths_ending_at(source):
         vertices = path.vertices
-        keys = keys_of(vertices[-2:])
+        keys = endpoint(vertices[-2:]).keys
         if keys[-1] < lo or keys[0] > key:
             continue
         if lo < earliest_of(vertices) < key and dest not in vertices:
@@ -134,16 +123,16 @@ def reinsert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
         return InsertOutcome(int(created), 0)
 
     def latest_of(vertices: tuple[str, ...]) -> OrderKey:
-        found = keys_of(vertices[-2:])[-1]
+        found = endpoint(vertices[-2:]).keys[-1]
         for hop in range(len(vertices) - 3, -1, -1):
-            keys = keys_of(vertices[hop : hop + 2])
+            keys = endpoint(vertices[hop : hop + 2]).keys
             found = keys[bisect_left(keys, found) - 1]
         return found
 
-    rights = [(dest,)] if at + 1 == len(record.alerts) else []
+    rights = [(dest,)] if at + 1 == len(record.keys) else []
     for path in store.find_paths_starting_at(dest):
         vertices = path.vertices
-        keys = keys_of(vertices[:2])
+        keys = endpoint(vertices[:2]).keys
         if keys[0] > hi or keys[-1] < key:
             continue
         if key < latest_of(vertices) < hi and source not in vertices:

@@ -69,7 +69,8 @@ class Alert:
 @dataclass(slots=True)
 class EndpointRecord:
     """A communicating pair plus every alert observed on it, kept in strictly
-    increasing (time, seq) order, so no reader sorts ``alerts``.
+    increasing (time, seq) order, and ``keys``, those alerts' keys in the same
+    order, filled on construction, so a reader bisects a pair in place.
 
     ``ets`` is a cached score. The store's readers refresh it when a
     mutation has made it stale; code that reads ``AlertStore.endpoints()``
@@ -79,6 +80,10 @@ class EndpointRecord:
     pair: EndpointPair
     alerts: list[Alert] = field(default_factory=list)
     ets: float = 0.0
+    keys: list[OrderKey] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.keys = list(map(alert_key, self.alerts))
 
 
 @dataclass(slots=True)

@@ -17,6 +17,7 @@ only when they are stale. No other module assigns a score.
 Paths are kept prefix-first: `insert_path` accepts a path only after its
 one-hop-shorter prefix, so `paths()` and the lookups by origin yield every
 path after its prefix.
+Records keep their alerts' (time, seq) keys beside them, so any pair is bisected in place.
 Snapshots hold only the alert log, as line-delimited JSON, records by pair
 and alerts as kept, so equal stores produce byte-identical files.
 `read_snapshot` is the one validator of that file. `load` replays what it
@@ -36,7 +37,7 @@ import heapq
 import json
 import math
 import os
-from bisect import insort
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -146,10 +147,7 @@ class AlertStore(PathReader):
     # ------------------------------------------------------------------
 
     def upsert_endpoint(self, alert: Alert) -> tuple[EndpointRecord, bool]:
-        """Insert an alert in its pair's record at its key, creating the record if new.
-
-        Returns (record, created). The alert's seq must be unused.
-        """
+        """Place an alert, and its key, in its pair's record; returns (record, created)."""
         if alert.seq in self._seqs:
             raise StoreError(f"ingestion ordinal {alert.seq} already in use")
         pair = alert.pair
@@ -158,12 +156,15 @@ class AlertStore(PathReader):
         if record is None:
             record = EndpointRecord(pair)
             self._endpoints[pair] = record
-        insort(record.alerts, alert, key=alert_key)
+        key = alert.key
+        at = bisect_right(record.keys, key)
+        record.keys.insert(at, key)
+        record.alerts.insert(at, alert)
         self._seqs.add(alert.seq)
         if alert.seq > self._max_seq:
             self._max_seq = alert.seq
-        if self._head is None or alert.key > self._head:
-            self._head = alert.key
+        if self._head is None or key > self._head:
+            self._head = key
         self.scores_stale = True
         return record, created
 
@@ -301,7 +302,7 @@ def read_snapshot(source: str | Path) -> list[Alert]:
 
     The file is outside input. Every line is validated, each alert by
     `Alert`'s field rule (a violation is a `StoreError` naming the line),
-    and ordinals must be unique; any failure raises `StoreError`.
+    and ordinals and pairs must be unique; any failure raises `StoreError`.
     """
     source = Path(source)
     try:
@@ -327,6 +328,7 @@ def read_snapshot(source: str | Path) -> list[Alert]:
 
     alerts: list[Alert] = []
     line_of_seq: dict[int, int] = {}
+    line_of_pair: dict[tuple[str, str], int] = {}
     for line_no in range(2, 2 + n_endpoints):
         row = _load_line(lines[line_no - 1], line_no)
         triples = row.get("alerts")
@@ -351,6 +353,10 @@ def read_snapshot(source: str | Path) -> list[Alert]:
                 )
             line_of_seq[alert.seq] = line_no
             alerts.append(alert)
+        pair = (alert.source, alert.destination)  # one line per pair, or load merges them
+        first = line_of_pair.setdefault(pair, line_no)
+        if first != line_no:
+            raise StoreError(f"snapshot line {line_no}: pair {pair} already on line {first}")
     return alerts
 
 

@@ -31,10 +31,12 @@ def deep_chain_tree(levels: int) -> AlertTree:
 
 
 def assert_key_order(reader: PathReader) -> None:
-    """Every record lists its alerts in strictly increasing (time, seq) order."""
+    """Every record lists its alerts in strictly increasing (time, seq) order,
+    and its keys are exactly those alerts' keys, in the same order."""
     for record in reader.endpoints():
         keys = [alert.key for alert in record.alerts]
         assert all(a < b for a, b in zip(keys, keys[1:])), (record.pair, keys)
+        assert record.keys == keys, record.pair
 
 
 def canonical_state(store: AlertStore) -> str:
@@ -88,8 +90,8 @@ def forbid_path_scans(store: AlertStore) -> None:
 class UnscannableList(list):
     """A list whose indexed reads and inserts work but whose scans fail the test.
 
-    Swapped in for a record's alerts, it shows that the record was read by
-    position and bisection instead of being walked, copied or sorted.
+    Swapped in for a record's alerts and keys, it shows that the record was
+    read by position and bisection instead of being walked, copied or sorted.
     """
 
     def _scan(self, *args, **kwargs):
@@ -105,6 +107,7 @@ class UnscannableList(list):
 
 def forbid_alert_scans(record: EndpointRecord) -> None:
     record.alerts = UnscannableList(record.alerts)
+    record.keys = UnscannableList(record.keys)
 
 
 @pytest.fixture

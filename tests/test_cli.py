@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from alertpaths import bench, maintenance, query, render
+from alertpaths import cli as cli_module
 from alertpaths import store as store_module
 from alertpaths.bench import generate_fanout_stream
 from alertpaths.cli import EXIT_ERROR, EXIT_OK, EXIT_PARSE, EXIT_STORE, EXIT_USAGE, main
@@ -445,6 +446,29 @@ def late_feed() -> str:
     """A 12-host fan-out feed with 2% of its alerts up to 30 positions late."""
     alerts = delay(generate_fanout_stream(12, 240, 3, seed=8), 0.02, 30, seed=8)
     return "".join(f"{a.source},{a.destination},{a.time_us},{a.sid}\n" for a in alerts)
+
+
+def test_commands_run_unlocked_where_fcntl_is_missing(capsys, tmp_path, monkeypatch):
+    # a host without fcntl (non-POSIX) takes no file locks; each command
+    # still runs and prints, and ingest writes, the same bytes as with locks
+    feed = tmp_path / "feed.csv"
+    feed.write_text(late_feed(), encoding="utf-8")
+    commands = (
+        ("ingest", "--input", str(feed), "--format", "csv", "--mode", "auto"),
+        ("stats",),
+        ("top", "--what", "paths", "--k", "10"),
+    )
+    printed = []
+    for fcntl in (cli_module.fcntl, None):
+        monkeypatch.setattr(cli_module, "fcntl", fcntl)
+        store_dir = tmp_path / f"store-{fcntl is None}"
+        outputs = []
+        for argv in commands:
+            code, out, err = run(capsys, *argv, "--store", str(store_dir))
+            assert (code, err) == (EXIT_OK, ""), argv
+            outputs.append(out)
+        printed.append((outputs, (store_dir / "store.jsonl").read_bytes()))
+    assert printed[0] == printed[1]
 
 
 @pytest.mark.parametrize("feed", ["random_seed7", "late-auto"])

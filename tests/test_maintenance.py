@@ -148,7 +148,7 @@ def test_insertion_matches_oracle_on_seeded_instances():
         assert stored_vertex_sets(store) == brute_force_paths(alerts), seed
 
 
-def test_key_order_replay_of_auto_mode_store():
+def test_key_order_replay_of_auto_mode_store(tmp_path):
     # arrival order leaves late alerts with large seqs and early times;
     # replaying every stored alert in (time, seq) order must still work
     for seed in range(10):
@@ -166,8 +166,13 @@ def test_key_order_replay_of_auto_mode_store():
         for alert in stored:
             insert_alert(replayed, alert)
         assert stored_vertex_sets(replayed) == stored_vertex_sets(auto), seed
-        # reinsertion keeps each record in key order, as the log builds its own
+        # reinsertion keeps each record, keys included, in key order, as a
+        # loaded store and the log build their own
         assert_key_order(auto)
+        auto.snapshot(tmp_path / "auto.jsonl")
+        loaded = AlertStore()
+        loaded.load(tmp_path / "auto.jsonl")
+        assert_key_order(loaded)
         assert_key_order(AlertLog(alerts))
 
 
@@ -340,19 +345,44 @@ def test_late_repeat_that_unlocks_nothing_reads_no_suffix(monkeypatch):
     assert store.stats().path_count == before.path_count
 
 
-def test_reinsert_reads_its_own_pair_in_place():
-    # the late alert's pair is bisected in place and never scanned, so a pair
-    # that holds most of the log costs its late alerts no sort
+def heavy_pair_feed(heavy: int) -> tuple[list[Alert], list[Alert]]:
+    """A sorted feed whose (a, b) holds ``heavy`` alerts, and its late alerts.
+
+    (x, a) comes before (a, b); (b, y) and (b, z) come too early to follow
+    it. Late alerts on (b, y) and on (a, b) itself then unlock (a, b, y),
+    (x, a, b, y), (a, b, z) and (x, a, b, z).
+    """
+    on_time = [("x", "a", 1000 + i) for i in range(20)]
+    on_time += [("b", "y", 100 + i) for i in range(20)] + [("b", "z", 1500)]
+    on_time += [("a", "b", 2000 + i) for i in range(heavy)]
+    late = [("b", "y", 2000 + heavy // 2 + i) for i in range(5)]
+    late += [("a", "b", 1200 + i) for i in range(3)]
+    alerts = [Alert(s, d, t, sid=1, seq=seq) for seq, (s, d, t) in enumerate(on_time + late)]
+    return sorted(alerts[: len(on_time)], key=lambda a: a.key), alerts[len(on_time) :]
+
+
+def test_reinsert_reads_every_pair_in_place():
+    # every record's alerts and keys refuse scans, so no pair that a late
+    # alert's ends pass through is walked, copied or sorted: neither the
+    # arc's own pair nor a heavy neighbour costs a late alert its size
+    on_time, late = heavy_pair_feed(2_000)
+    store = build_store(on_time)
+    for record in store.endpoints():
+        forbid_alert_scans(record)
+    created = sum(reinsert_alert(store, alert).paths_created for alert in late)
+    expected = build_store(sorted(on_time + late, key=lambda a: a.key))
+    assert stored_vertex_sets(store) == stored_vertex_sets(expected)
+    assert created == 4
     checked = created = 0
     for seed in range(40):
         alerts = generate_random(4, 40, seed=700 + seed)
-        late = alerts[random.Random(seed).randrange(len(alerts))]
-        store = build_store(a for a in alerts if a is not late)
-        record = store.endpoint(late.pair)
-        if record is None:  # the late alert opens its pair
+        late_alert = alerts[random.Random(seed).randrange(len(alerts))]
+        store = build_store(a for a in alerts if a is not late_alert)
+        if store.endpoint(late_alert.pair) is None:  # the late alert opens its pair
             continue
-        forbid_alert_scans(record)
-        created += reinsert_alert(store, late).paths_created
+        for record in store.endpoints():
+            forbid_alert_scans(record)
+        created += reinsert_alert(store, late_alert).paths_created
         assert stored_vertex_sets(store) == brute_force_paths(alerts), seed
         checked += 1
     assert checked >= 30 and created > 0

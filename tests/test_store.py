@@ -10,6 +10,7 @@ import pytest
 
 from alertpaths import store as store_module
 from alertpaths.bench import brute_force_paths, build_store, generate_chain, generate_random
+from alertpaths.derivation import AlertLog
 from alertpaths.errors import StoreError
 from alertpaths.maintenance import insert_alert
 from alertpaths.model import Alert, EndpointPair, PathRecord
@@ -343,6 +344,17 @@ def test_load_rejects_garbage(tmp_path):
     )
     with pytest.raises(StoreError, match="line 3: ordinal 0 already used on line 2"):
         AlertStore().load(reused)
+    # a pair listed twice would merge into one record, short of the header's count
+    repeated = tmp_path / "repeated.jsonl"
+    repeated.write_text(
+        '{"endpoints":2,"format":"alert-path-store","version":3}\n'
+        '{"alerts":[[1,1,0]],"dst":"b","src":"a"}\n'
+        '{"alerts":[[2,1,1]],"dst":"b","src":"a"}\n',
+        encoding="utf-8",
+    )
+    for read in (AlertStore().load, AlertLog.read):
+        with pytest.raises(StoreError, match=r"line 3: pair \('a', 'b'\) already on line 2"):
+            read(repeated)
     duplicate_key = tmp_path / "duplicate_key.jsonl"
     duplicate_key.write_text(DUPLICATE_KEY_SNAPSHOT, encoding="utf-8")
     with pytest.raises(StoreError, match="ordinal 0"):
