@@ -7,9 +7,10 @@ the new alert is the latest element of the (time, seq) order, so every
 lengthened path is feasible by construction. Late alerts go through
 `reinsert_alert`, which joins stored prefixes and suffixes picked by their
 greedy keys, found by bisecting in place the keys each record keeps, and
-checks no join against the store. Neither scores anything: each mutation
-marks the store's cached scores stale, and the store refreshes them when
-they are next read.
+checks no join against the store. Both store each new path under its
+parent node with `AlertStore.extend`, never looking a path up by its
+vertex tuple. Neither scores anything: each mutation marks the store's
+cached scores stale, and the store refreshes them when they are next read.
 """
 
 from __future__ import annotations
@@ -50,16 +51,12 @@ def insert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
     paths_created = 0
     if source != dest:
         if created:
-            store.insert_path(PathRecord((source, dest)))
+            store.extend(source, dest)
             paths_created += 1
         for candidate in store.find_paths_ending_at(source):
-            if dest in candidate.vertices:  # would repeat a vertex
-                continue
-            vertices = candidate.vertices + (dest,)
-            if store.has_path(vertices):  # lengthened copy already stored
-                continue
-            store.insert_path(PathRecord(vertices))
-            paths_created += 1
+            # None when the lengthened copy is stored or would repeat a vertex
+            if store.extend(candidate, dest) is not None:
+                paths_created += 1
     return InsertOutcome(int(created), paths_created)
 
 
@@ -82,9 +79,10 @@ def reinsert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
     pruned in O(1) on the keys of the pair next to the arc, suffixes are read
     only when some prefix qualifies, and an end that passes is walked once.
 
-    New paths are inserted in the order they are built, suffix by suffix,
-    and each L + R still comes after its one-hop-shorter prefix
-    L + R[:-1], as `insert_path` requires. Either R[:-1] is itself a
+    New paths are stored in the order they are built, suffix by suffix,
+    by `AlertStore.splice`, which reaches L + R[:-1] from L's node by R's
+    vertices and stores L + R under it. So each L + R must come after
+    L + R[:-1], and it does. Either R[:-1] is itself a
     qualifying suffix, and an earlier one: the suffixes start with the
     bare ``(d,)`` and then follow `find_paths_starting_at`'s prefix-first
     order. Or R[:-1] failed the window because l(R[:-1]) > k_next, so
@@ -94,7 +92,7 @@ def reinsert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
     record, created = store.upsert_endpoint(alert)
     if source == dest:
         return InsertOutcome(int(created), 0)
-    endpoint = store.endpoint  # insert_path stores no path without its pairs' records
+    endpoint = store.endpoint  # the store holds no path without its pairs' records
 
     # keys are unique across the store, so bisect_left and bisect_right agree in a walk
     def earliest_of(vertices: tuple[str, ...]) -> OrderKey:
@@ -111,14 +109,15 @@ def reinsert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
     lo = record.keys[at - 1] if at else (-math.inf,)
     hi = record.keys[at + 1] if at + 1 < len(record.keys) else (math.inf,)
 
-    lefts = [(source,)] if at == 0 else []
+    # each prefix is a stored path or the bare source, with its vertex set
+    lefts: list[tuple[PathRecord | str, set[str]]] = [(source, {source})] if at == 0 else []
     for path in store.find_paths_ending_at(source):
         vertices = path.vertices
         keys = endpoint(vertices[-2:]).keys
         if keys[-1] < lo or keys[0] > key:
             continue
         if lo < earliest_of(vertices) < key and dest not in vertices:
-            lefts.append(vertices)
+            lefts.append((path, set(vertices)))
     if not lefts:
         return InsertOutcome(int(created), 0)
 
@@ -138,11 +137,10 @@ def reinsert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
         if key < latest_of(vertices) < hi and source not in vertices:
             rights.append(vertices)
 
-    members = [(left, set(left)) for left in lefts]
     paths_created = 0
     for right in rights:  # prefix-first, so each L + R comes after L + R[:-1]
-        for left, vertex_set in members:
+        for left, vertex_set in lefts:
             if vertex_set.isdisjoint(right):
-                store.insert_path(PathRecord(left + right))
+                store.splice(left, right)
                 paths_created += 1
     return InsertOutcome(int(created), paths_created)

@@ -90,13 +90,20 @@ class EndpointRecord:
 class PathRecord:
     """An acyclic, chronologically feasible walk through the alert graph.
 
-    A plain record: `AlertStore.insert_path` admits only simple paths of a
-    hop or more. ``pts`` is a cached score that the store's readers refresh;
+    A plain record: `AlertStore.extend` admits only simple paths of a hop
+    or more. ``pts`` is a cached score that the store's readers refresh;
     code reading ``AlertStore.paths()`` calls ``recompute_threat_scores`` first.
+    ``children`` is a stored path's node in the store's prefix trie: the
+    positions of its stored one-hop-longer paths in the store's path list,
+    by their last vertex. Positions, not records, keep these dicts out of
+    the garbage collector's scans, since a dict that holds only strings and
+    integers is not tracked. It stays None until the first child is stored;
+    equality and ``repr`` leave it out.
     """
 
     vertices: tuple[str, ...]
     pts: float = 0.0
+    children: dict[str, int] | None = field(default=None, compare=False, repr=False)
 
     @property
     def origin(self) -> str:

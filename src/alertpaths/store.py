@@ -7,16 +7,19 @@ endpoint records and what each subclass supplies: `paths()`, the lookups
 by origin and by target, and a path count. `AlertStore` answers these from
 its path set and indexes; `derivation.AlertLog` derives them.
 
-Single-writer, in-process. The store keeps the path set and two indexes,
-by origin and by target; everything else is computed when it is read.
-Lookups by origin or target touch only the matching records, a lookup by
-both filters the origin's paths, and rankings scan every record. Scores
-are cached on the records and marked stale by every mutation; each reader
-of a score first calls `recompute_threat_scores`, which refreshes them
-only when they are stale. No other module assigns a score.
-Paths are kept prefix-first: `insert_path` accepts a path only after its
-one-hop-shorter prefix, so `paths()` and the lookups by origin yield every
-path after its prefix.
+Single-writer, in-process. The store keeps its paths in insertion order,
+a prefix trie over them (each origin's one-hop paths, and every longer
+path in its parent's `PathRecord.children`, as positions by last vertex)
+and two indexes, by origin and by target; everything else is computed when
+it is read. Lookups by origin or target touch only the matching records, a
+lookup by both filters the origin's paths, and rankings scan every record.
+Scores are cached on the records and marked stale by every mutation; each
+reader of a score first calls `recompute_threat_scores`, which refreshes
+them only when they are stale, in one pass down the trie. No other module
+assigns a score.
+`extend` is the one gate for new paths: it stores a path under its parent
+node, so `paths()` and the lookups by origin yield every path after its
+prefix, and no path is looked up by its vertex tuple on the way.
 Records keep their alerts' (time, seq) keys beside them, so any pair is bisected in place.
 Snapshots hold only the alert log, as line-delimited JSON, records by pair
 and alerts as kept, so equal stores produce byte-identical files.
@@ -134,7 +137,11 @@ class AlertStore(PathReader):
 
     def __init__(self) -> None:
         self._endpoints: dict[EndpointPair, EndpointRecord] = {}
-        self._paths: dict[tuple[str, ...], PathRecord] = {}
+        # the prefix trie: each origin's one-hop paths by their last vertex,
+        # and every longer path in its parent's children, as positions in
+        # _paths, which keeps every path in insertion order
+        self._origins: dict[str, dict[str, int]] = {}
+        self._paths: list[PathRecord] = []
         self._by_origin: dict[str, list[PathRecord]] = defaultdict(list)
         self._by_target: dict[str, list[PathRecord]] = defaultdict(list)
         self._seqs: set[int] = set()
@@ -172,37 +179,94 @@ class AlertStore(PathReader):
     # paths
     # ------------------------------------------------------------------
 
-    def insert_path(self, path: PathRecord) -> None:
-        """Index a new path after its one-hop-shorter prefix.
+    def extend(self, parent: PathRecord | str, vertex: str) -> PathRecord | None:
+        """Store the path one hop longer than ``parent`` and return it; or
+        store nothing and return None when that path is stored already or
+        would repeat a vertex.
 
-        The one gate for the stored-path rule. Duplicates are rejected as a
-        backstop to `insert_alert`'s `has_path` and `reinsert_alert`'s key
-        window. The last pair must have an endpoint record, the last vertex
-        must be new to the path and, beyond one hop, the prefix stored; by
-        induction every stored path is simple, at least one hop long and has
-        a record for every pair, and the path set stays prefix-first.
+        ``parent`` is a path record this store holds, as its lookups return
+        them, or a bare origin vertex. This is the one gate for the
+        stored-path rule: a duplicate is a stored child of
+        ``parent``, a repeat is ``vertex`` among its vertices, and a last
+        pair with no endpoint record raises `StoreError`. A path is stored
+        only under its parent, so by induction every stored path is simple,
+        at least one hop long and has a record for every pair, and the path
+        set stays prefix-first.
         """
+        if isinstance(parent, str):
+            prefix = (parent,)
+            children = self._origins.get(parent)
+        else:
+            prefix = parent.vertices
+            children = parent.children
+        if children is not None and vertex in children:
+            return None
+        last = (prefix[-1], vertex)  # a plain tuple hashes like EndpointPair
+        if last not in self._endpoints:
+            raise StoreError(f"path {prefix + (vertex,)} references unknown pair {last}")
+        if vertex in prefix:
+            return None
+        path = PathRecord(prefix + (vertex,))
+        if children is None:  # a node's dict is made with its first child
+            children = {}
+            if isinstance(parent, str):
+                self._origins[parent] = children
+            else:
+                parent.children = children
+        children[vertex] = len(self._paths)
+        self._paths.append(path)
+        self._by_origin[prefix[0]].append(path)
+        self._by_target[vertex].append(path)
+        self.scores_stale = True
+        return path
+
+    def splice(self, start: PathRecord | str, vertices: tuple[str, ...]) -> PathRecord:
+        """Store ``start`` followed by ``vertices`` with `extend` and return
+        it. Its one-hop-shorter prefix is reached from ``start``, a stored
+        path or a bare origin vertex, by the stored child of each step; a
+        missing prefix, a duplicate or a repeat raises `StoreError`."""
+        parent = self._descend(start, vertices[:-1])
+        path = None if parent is None else self.extend(parent, vertices[-1])
+        if path is None:
+            prefix = ((start,) if isinstance(start, str) else start.vertices) + vertices[:-1]
+            full = prefix + vertices[-1:]
+            if parent is None:
+                raise StoreError(f"path {full} has no stored prefix {prefix}")
+            raise StoreError(f"path {full} is stored already or repeats its last vertex")
+        return path
+
+    def insert_path(self, path: PathRecord) -> None:
+        """The by-tuple entry: store a path with ``path``'s vertices by
+        `splice` from its origin, after checking that its last pair has a
+        record."""
         vertices = path.vertices
-        if vertices in self._paths:
-            raise StoreError(f"path {vertices} already stored")
-        last = vertices[-2:]  # a plain tuple hashes like EndpointPair
+        last = vertices[-2:]
         if last not in self._endpoints:
             raise StoreError(f"path {vertices} references unknown pair {last}")
-        if vertices[-1] in vertices[:-1]:
-            raise StoreError(f"path {vertices} repeats its last vertex")
-        if len(vertices) > 2 and vertices[:-1] not in self._paths:
-            raise StoreError(f"path {vertices} has no stored prefix {vertices[:-1]}")
-        self._paths[vertices] = path
-        self._by_origin[path.origin].append(path)
-        self._by_target[path.target].append(path)
-        self.scores_stale = True
+        self.splice(vertices[0], vertices[1:])
 
     def has_path(self, vertices: tuple[str, ...]) -> bool:
-        return vertices in self._paths
+        """Whether a path with these vertices is stored, walked down from its origin."""
+        return len(vertices) > 1 and self._descend(vertices[0], vertices[1:]) is not None
+
+    def _descend(
+        self, start: PathRecord | str, vertices: tuple[str, ...]
+    ) -> PathRecord | str | None:
+        """The node reached from ``start`` by the stored child of each
+        vertex in turn: ``start`` itself for no vertices, None if one is missing."""
+        node = start
+        children = self._origins.get(start) if isinstance(start, str) else start.children
+        for vertex in vertices:
+            at = children.get(vertex) if children else None
+            if at is None:
+                return None
+            node = self._paths[at]
+            children = node.children
+        return node
 
     def paths(self) -> Iterator[PathRecord]:
         """Every stored path in insertion order, so each after its prefix."""
-        return iter(self._paths.values())
+        return iter(self._paths)
 
     def find_paths_ending_at(self, vertex: str) -> list[PathRecord]:
         return list(self._by_target.get(vertex, ()))
@@ -365,37 +429,54 @@ def recompute_threat_scores(store: PathReader) -> tuple[int, int]:
     changed records, (0, 0) at once when none is stale.
 
     A score is sqrt(distinct sids x alerts), as `threat_score` computes it.
-    `reduce_pairs` reduces each pair once to (alert count, sid mask); a
-    path's value is its one-hop-shorter prefix's combined with its last
-    pair's. Paths are visited in stored order, which puts every prefix first.
+    `reduce_pairs` reduces each pair once to (alert count, sid mask). Each
+    path's (count, mask) is its parent's with its last pair's added, carried
+    down the prefix trie (only an `AlertStore` marks its scores stale). The
+    paths are scored in stored order, which puts every parent first, so the
+    score floats are made in the order that `paths()`, and so every ranking,
+    reads them. A missing pair record, or a stored path that the trie does
+    not reach from its origin, raises `StoreError`.
     """
     if not store.scores_stale:
         return 0, 0
-    arcs: dict[tuple[str, str], tuple[int, int]] = {}
+    # arcs[source][destination] = (count, mask) of that pair
+    arcs: defaultdict[str, dict[str, tuple[int, int]]] = defaultdict(dict)
     endpoints_updated = 0
     for record, count, mask in reduce_pairs(store.endpoints()):
-        arcs[record.pair] = (count, mask)
+        source, destination = record.pair
+        arcs[source][destination] = (count, mask)
         score = math.sqrt(mask.bit_count() * count)
         if score != record.ets:
             record.ets = score
             endpoints_updated += 1
-    sums: dict[tuple[str, ...], tuple[int, int]] = {}
+    paths = store._paths
+    # (count, mask) by position in paths, set by the parent and dropped once scored
+    sums: list[tuple[int, int] | None] = [None] * len(paths)
+
+    def carry(last: str, children: dict[str, int], count: int, mask: int) -> None:
+        row = arcs[last]
+        for vertex, at in children.items():
+            try:
+                arc_count, arc_mask = row[vertex]
+            except KeyError:
+                raise StoreError(f"path {paths[at].vertices} lacks pair {(last, vertex)}") from None
+            sums[at] = (count + arc_count, mask | arc_mask)
+
+    for origin, children in store._origins.items():
+        carry(origin, children, 0, 0)
     paths_updated = 0
-    for path in store.paths():
-        vertices = path.vertices
-        try:
-            count, mask = arcs[vertices[-2:]]
-            if len(vertices) > 2:
-                prefix_count, prefix_mask = sums[vertices[:-1]]
-                count += prefix_count
-                mask |= prefix_mask
-        except KeyError as exc:
-            raise StoreError(f"path {vertices} lacks pair or prefix {exc.args[0]}") from None
-        sums[vertices] = (count, mask)
+    for at, path in enumerate(paths):
+        summed = sums[at]
+        if summed is None:
+            raise StoreError(f"path {path.vertices} is not reached from its origin in the trie")
+        sums[at] = None
+        count, mask = summed
         score = math.sqrt(mask.bit_count() * count)
         if score != path.pts:
             path.pts = score
             paths_updated += 1
+        if path.children:
+            carry(path.vertices[-1], path.children, count, mask)
     store.scores_stale = False
     return endpoints_updated, paths_updated
 

@@ -73,18 +73,14 @@ def assert_prefix_first(store: AlertStore, label: object = None) -> None:
 class UnscannableDict(dict):
     """A dict whose keyed reads work but whose scans fail the test.
 
-    Swapped in for a store's path dict, it shows that a lookup went through
-    an index instead of walking every stored path.
+    Swapped in for the store's trie of origins, it shows that a lookup
+    reached paths by their origin or an index instead of walking every one.
     """
 
     def _scan(self, *args):
         raise AssertionError("scanned every stored path")
 
     __iter__ = keys = values = items = _scan
-
-
-def forbid_path_scans(store: AlertStore) -> None:
-    store._paths = UnscannableDict(store._paths)
 
 
 class UnscannableList(list):
@@ -94,8 +90,10 @@ class UnscannableList(list):
     read by position and bisection instead of being walked, copied or sorted.
     """
 
+    scanned = "every alert of a pair"
+
     def _scan(self, *args, **kwargs):
-        raise AssertionError("scanned every alert of a pair")
+        raise AssertionError(f"scanned {self.scanned}")
 
     __iter__ = __reversed__ = copy = sort = _scan
 
@@ -103,6 +101,19 @@ class UnscannableList(list):
         if isinstance(index, slice):
             self._scan()
         return super().__getitem__(index)
+
+
+class UnscannablePaths(UnscannableList):
+    """Swapped in for the store's list of paths; see `forbid_path_scans`."""
+
+    scanned = "every stored path"
+
+
+def forbid_path_scans(store: AlertStore) -> None:
+    """Fail the test on any scan of the store's paths, through its path
+    list or down its trie from every origin; keyed reads still work."""
+    store._paths = UnscannablePaths(store._paths)
+    store._origins = UnscannableDict(store._origins)
 
 
 def forbid_alert_scans(record: EndpointRecord) -> None:

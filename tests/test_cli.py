@@ -267,7 +267,7 @@ def test_bench_chain_mismatch_exits_with_failures(capsys, monkeypatch):
 
     def short_of_one_path(alerts):
         store = build(alerts)
-        store._paths.popitem()  # the longest path, stored last
+        store._paths.pop()  # the longest path, stored last
         return store
 
     monkeypatch.setattr(bench, "build_store", short_of_one_path)

@@ -148,6 +148,26 @@ def test_insertion_matches_oracle_on_seeded_instances():
         assert stored_vertex_sets(store) == brute_force_paths(alerts), seed
 
 
+def _by_tuple(*args):
+    raise AssertionError("insert_alert looked a path up by its vertex tuple")
+
+
+def test_in_order_inserts_never_look_up_a_path_by_its_tuple():
+    # each lengthened path is gated by its parent node, the candidate itself
+    def fold(alerts: list[Alert]) -> AlertStore:
+        store = AlertStore()
+        store.has_path = store.insert_path = _by_tuple
+        for alert in alerts:
+            insert_alert(store, alert)
+        return store
+
+    for seed in range(40):
+        rng = random.Random(seed)
+        alerts = generate_random(rng.randint(3, 8), rng.randint(4, 40), seed=900 + seed)
+        assert stored_vertex_sets(fold(alerts)) == brute_force_paths(alerts), seed
+    assert fold(generate_chain(60)).stats().path_count == 60 * 61 // 2
+
+
 def test_key_order_replay_of_auto_mode_store(tmp_path):
     # arrival order leaves late alerts with large seqs and early times;
     # replaying every stored alert in (time, seq) order must still work
@@ -426,7 +446,9 @@ def test_recompute_missing_prefix_is_store_inconsistency():
     store = build_store(
         [mk_alert("a", "b", 1, seq=0), mk_alert("b", "c", 2, seq=1)]
     )
-    del store._paths[("a", "b")]  # break prefix closure under ("a", "b", "c")
+    # detach ("a", "b"), and with it ("a", "b", "c"), from the trie; both
+    # stay in the path list, so the trie no longer reaches every stored path
+    del store._origins["a"]["b"]
     with pytest.raises(StoreError):
         recompute_threat_scores(store)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -100,6 +101,22 @@ def test_insert_path_rejects_degenerate_shapes():
     assert [p.vertices for p in store.paths()] == [("v1", "v2")]
 
 
+def test_extend_gates_by_the_parent_node():
+    store = AlertStore()
+    store.upsert_endpoint(mk_alert("a", "b", 1, seq=0))
+    store.upsert_endpoint(mk_alert("b", "a", 2, seq=1))
+    ab = store.extend("a", "b")
+    assert ab is not None and ab.vertices == ("a", "b")
+    assert store.extend("a", "b") is None  # a duplicate: an existing child
+    assert store.extend(ab, "a") is None  # a repeat: "a" is on the path
+    with pytest.raises(StoreError, match=r"pair \('b', 'c'\)"):
+        store.extend(ab, "c")
+    with pytest.raises(StoreError, match=r"pair \('b', 'c'\)"):
+        store.splice("a", ("b", "c"))
+    assert [p.vertices for p in store.paths()] == [("a", "b")]
+    assert ab.children is None  # a node's dict is made with its first child
+
+
 # Each of these once went into a store whose own snapshot then failed to load.
 MALFORMED_ALERT_FIELDS = [
     ("a", "b", 1, True, 0),
@@ -152,14 +169,24 @@ def test_index_consistency_on_random_instance():
 
 def test_child_symmetry_on_random_instance():
     # A path's children are its stored one-step extensions. insert_alert
-    # finds them with has_path, and reinsert_alert looks for a new path's
-    # prefix and suffix among the stored paths; both are exact only if the
-    # stored set is closed under dropping the last or first vertex.
+    # extends every stored path that ends at the alert's source, and
+    # reinsert_alert looks for a new path's prefix and suffix among the
+    # stored paths; both are exact only if the stored set is closed under
+    # dropping the last or first vertex.
     store = seeded_store()
     for path in store.paths():
         if len(path.vertices) > 2:
             assert store.has_path(path.vertices[:-1])
             assert store.has_path(path.vertices[1:])
+
+
+def test_trie_adds_no_object_to_gc_scans():
+    # children hold positions, not records, so the garbage collector tracks
+    # no trie dict and a full collection scans no more objects per path
+    store = seeded_store()
+    nodes = [path.children for path in store.paths() if path.children]
+    nodes.extend(store._origins.values())
+    assert nodes and not any(gc.is_tracked(node) for node in nodes)
 
 
 def test_lookup_touches_only_matching_records():
@@ -177,6 +204,9 @@ def test_lookup_touches_only_matching_records():
     assert store.has_path(expected[2][0].vertices)
     with pytest.raises(AssertionError, match="scanned"):
         list(store.paths())
+    store.scores_stale = True  # a rescore walks the whole trie
+    with pytest.raises(AssertionError, match="scanned"):
+        recompute_threat_scores(store)
 
 
 # ---------------------------------------------------------------------------
