@@ -11,9 +11,11 @@ code with `insert_alert` or `reinsert_alert`, so it also serves as an
 oracle for them.
 
 `AlertLog` holds one log and answers by these searches the lookups that
-`store.PathReader`, the store's read interface, is written over. So a
-reader that needs a few roots never builds the path set, and one that
-needs every path holds only the path being walked.
+`store.PathReader`, the store's read interface, is written over. `walk`
+is one of them, and the tree builder reads its sorted sequences as they
+come, without a list of paths. A reader that needs a few roots never
+builds the path set, and one that needs every path holds only the path
+being walked.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Iterable, Iterator
 
 from .errors import StoreError
 from .model import Alert, Direction, EndpointPair, EndpointRecord, PathRecord, alert_key
-from .store import PathReader, read_snapshot, reduce_pairs
+from .store import PathReader, RootedPath, read_snapshot, reduce_pairs
 
 # One arc as a search takes it: the vertex it reaches, its keys in the
 # order the search takes them, its alert count and its sid mask.
@@ -61,9 +63,8 @@ class AlertLog(PathReader):
         self._endpoints: dict[EndpointPair, EndpointRecord] = {}
         forward: dict[str, list[_Step]] = {}
         backward: dict[str, list[_Step]] = {}
-        records = (
-            EndpointRecord(EndpointPair(*pair), alerts) for pair, (alerts, _) in by_pair.items()
-        )
+        # in pair order, so each vertex's steps are in label order and walks yield sorted sequences
+        records = (EndpointRecord(EndpointPair(*p), by_pair[p][0]) for p in sorted(by_pair))
         for record, count, mask in reduce_pairs(records):
             record.ets = math.sqrt(mask.bit_count() * count)
             self._endpoints[record.pair] = record
@@ -87,15 +88,14 @@ class AlertLog(PathReader):
     # derivation
     # ------------------------------------------------------------------
 
-    def walk(
-        self, root: str, direction: Direction = "forward"
-    ) -> Iterator[tuple[tuple[str, ...], float]]:
+    def walk(self, root: str, direction: Direction = "forward") -> Iterator[RootedPath]:
         """Every path from (forward) or to (backward) ``root``, with its PTS.
 
-        Yields ``(sequence, pts)`` in preorder, each path after its
-        one-hop-shorter prefix. A sequence starts at ``root``, so a
-        backward one lists the path's vertices in reverse. Memory is
-        bounded by the path depth, not by the number of paths.
+        Yields ``(sequence, pts)`` with the sequences sorted, which is a
+        preorder: each path after its one-hop-shorter prefix. A sequence
+        starts at ``root``, so a backward one lists the path's vertices in
+        reverse. Memory is bounded by the path depth, not by the number of
+        paths.
         """
         steps = self._steps[direction]
         sqrt = math.sqrt
@@ -137,9 +137,6 @@ class AlertLog(PathReader):
 
     def find_paths_starting_at(self, vertex: str) -> list[PathRecord]:
         return [PathRecord(vertices, pts) for vertices, pts in self.walk(vertex)]
-
-    def find_paths_ending_at(self, vertex: str) -> list[PathRecord]:
-        return [PathRecord(reverse[::-1], pts) for reverse, pts in self.walk(vertex, "backward")]
 
     def _path_count(self) -> int:
         """Counted by one walk from every root."""

@@ -8,7 +8,8 @@ becomes two distinct nodes, which keeps trees cycle-free even though the
 underlying graph is not. Every function here refreshes stale scores
 before it reads one. Each takes a `store.PathReader`: an `AlertStore`, or
 an `AlertLog`, which answers the same lookups by deriving paths from the
-alert log. One function builds both kinds of tree from the paths.
+alert log. One function builds both kinds of tree, in one pass over the
+reader's `walk`, which yields the root's paths as sorted sequences.
 """
 
 from __future__ import annotations
@@ -66,36 +67,36 @@ def _build_tree(store: PathReader, root: str, direction: Direction) -> AlertTree
     for.
 
     The path set is prefix- and suffix-closed, so the tree's nodes are
-    exactly the root and these sequences, and every proper prefix of one is
-    a node too. Siblings keep insertion order: best path first, then label.
+    exactly the root and these sequences. `walk` yields them sorted, a
+    preorder, so a node's parent is one level up on the branch last read,
+    and one pass creates every node. A stable sort then orders siblings by
+    the best PTS at or below each, and ties keep their label order.
     """
     recompute_threat_scores(store)
     forward = direction == "forward"
-    if forward:
-        scored = [(p.vertices, p.pts) for p in store.find_paths_starting_at(root)]
-    else:
-        scored = [(p.vertices[::-1], p.pts) for p in store.find_paths_ending_at(root)]
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    root_node = TreeNode(root)
-    nodes: dict[tuple[str, ...], TreeNode] = {(root,): root_node}
-    for sequence, _ in scored:
-        if sequence in nodes:
-            continue  # created as the prefix of a better path
-        # climb to the deepest node that exists, then create the rest top-down
-        end = len(sequence) - 1
-        while (node := nodes.get(sequence[:end])) is None:
-            end -= 1
-        for end in range(end, len(sequence)):
-            parent, label = sequence[end - 1], sequence[end]
-            pair = EndpointPair(parent, label) if forward else EndpointPair(label, parent)
-            # scoring raised StoreError already if a stored path's pair were missing
-            child = TreeNode(label, store.endpoint(pair).ets)
-            node.children.append(child)
-            nodes[sequence[: end + 1]] = child
-            node = child
+    nodes = [TreeNode(root)]  # in preorder, root first
+    parents = [0]  # each node's parent, by position in nodes
+    best = [0.0]  # the best PTS at or below each node
+    branch = [0]  # the positions of the last sequence's nodes
+    for sequence, pts in store.walk(root, direction):
+        del branch[len(sequence) - 1 :]
+        parents.append(branch[-1])
+        branch.append(len(nodes))
+        parent, label = sequence[-2], sequence[-1]
+        pair = EndpointPair(parent, label) if forward else EndpointPair(label, parent)
+        # scoring raised StoreError already if a stored path's pair were missing
+        nodes.append(TreeNode(label, store.endpoint(pair).ets))
+        best.append(pts)
+    # children before parents, so each best is final when it is lifted
+    for at in range(len(nodes) - 1, 0, -1):
+        if best[at] > best[parents[at]]:
+            best[parents[at]] = best[at]
+    # linked to their parents best first, so each node's children come best first
+    for at in sorted(range(1, len(nodes)), key=best.__getitem__, reverse=True):
+        nodes[parents[at]].children.append(nodes[at])
     # the nodes' ETS values are the tree's colour scale; the root stays black
-    created = list(nodes.values())[1:]
+    created = nodes[1:]
     max_ets = max((node.ets for node in created), default=0.0)
     for node in created:
         node.color = normalize_color(node.ets, max_ets)
-    return AlertTree(root_node, direction)
+    return AlertTree(nodes[0], direction)

@@ -3,9 +3,9 @@ it shares with the alert log.
 
 `PathReader` writes the read interface once: endpoint lookups, paths
 between two vertices, both rankings, `stats` and `snapshot`. It reads the
-endpoint records and what each subclass supplies: `paths()`, the lookups
-by origin and by target, and a path count. `AlertStore` answers these from
-its path set and indexes; `derivation.AlertLog` derives them.
+endpoint records and what each subclass supplies: `paths()`, the lookup
+by origin, a root's paths as sorted sequences (`walk`) and a path count.
+`AlertStore` answers these from its indexes; `AlertLog` derives them.
 
 Single-writer, in-process. The store keeps its paths in insertion order,
 a prefix trie over them (each origin's one-hop paths, and every longer
@@ -43,16 +43,19 @@ import os
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import StoreError
-from .model import Alert, EndpointPair, EndpointRecord, OrderKey, PathRecord, alert_key
+from .model import Alert, Direction, EndpointPair, EndpointRecord, OrderKey, PathRecord, alert_key
 
 SNAPSHOT_FORMAT = "alert-path-store"
 SNAPSHOT_VERSION = 3
 # Versions 1 and 2 also hold path lines, which load counts but never reads.
 READABLE_VERSIONS = (1, 2, 3)
+# A path as `walk` yields it: its vertices from the walk's root, and its PTS.
+RootedPath = tuple[tuple[str, ...], float]
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,7 +81,8 @@ class PathReader:
     def find_paths_starting_at(self, vertex: str) -> list[PathRecord]:
         raise NotImplementedError
 
-    def find_paths_ending_at(self, vertex: str) -> list[PathRecord]:
+    def walk(self, root: str, direction: Direction = "forward") -> Iterable[RootedPath]:
+        """Every path from (forward) or to (backward) ``root``, sorted, which is a preorder."""
         raise NotImplementedError
 
     def _path_count(self) -> int:
@@ -223,8 +227,10 @@ class AlertStore(PathReader):
     def splice(self, start: PathRecord | str, vertices: tuple[str, ...]) -> PathRecord:
         """Store ``start`` followed by ``vertices`` with `extend` and return
         it. Its one-hop-shorter prefix is reached from ``start``, a stored
-        path or a bare origin vertex, by the stored child of each step; a
-        missing prefix, a duplicate or a repeat raises `StoreError`."""
+        path or a bare origin vertex, by the stored child of each step; no
+        vertices, a missing prefix, a duplicate or a repeat raises `StoreError`."""
+        if not vertices:
+            raise StoreError("a splice needs at least one vertex after its start")
         parent = self._descend(start, vertices[:-1])
         path = None if parent is None else self.extend(parent, vertices[-1])
         if path is None:
@@ -234,20 +240,6 @@ class AlertStore(PathReader):
                 raise StoreError(f"path {full} has no stored prefix {prefix}")
             raise StoreError(f"path {full} is stored already or repeats its last vertex")
         return path
-
-    def insert_path(self, path: PathRecord) -> None:
-        """The by-tuple entry: store a path with ``path``'s vertices by
-        `splice` from its origin, after checking that its last pair has a
-        record."""
-        vertices = path.vertices
-        last = vertices[-2:]
-        if last not in self._endpoints:
-            raise StoreError(f"path {vertices} references unknown pair {last}")
-        self.splice(vertices[0], vertices[1:])
-
-    def has_path(self, vertices: tuple[str, ...]) -> bool:
-        """Whether a path with these vertices is stored, walked down from its origin."""
-        return len(vertices) > 1 and self._descend(vertices[0], vertices[1:]) is not None
 
     def _descend(
         self, start: PathRecord | str, vertices: tuple[str, ...]
@@ -273,6 +265,15 @@ class AlertStore(PathReader):
 
     def find_paths_starting_at(self, vertex: str) -> list[PathRecord]:
         return list(self._by_origin.get(vertex, ()))
+
+    def walk(self, root: str, direction: Direction = "forward") -> list[RootedPath]:
+        """The root's indexed paths with their cached PTS, sorted."""
+        if direction == "forward":
+            found = [(p.vertices, p.pts) for p in self._by_origin.get(root, ())]
+        else:
+            found = [(p.vertices[::-1], p.pts) for p in self._by_target.get(root, ())]
+        found.sort(key=itemgetter(0))
+        return found
 
     def _path_count(self) -> int:
         return len(self._paths)

@@ -20,6 +20,8 @@ from alertpaths.derivation import AlertLog
 from alertpaths.errors import StoreError
 from alertpaths.ingest import ingest_stream
 from alertpaths.model import threat_score
+from alertpaths.query import build_backward_tree, build_forward_tree
+from alertpaths.render import tree_to_dot, tree_to_structured
 from alertpaths.store import AlertStore, recompute_threat_scores
 
 from conftest import mk_alert
@@ -28,8 +30,8 @@ from test_acceptance import delay, instance
 
 def assert_derives(log: AlertLog, expected: dict[tuple[str, ...], float]) -> None:
     """The walks from every vertex, both ways, derive exactly ``expected``'s
-    paths with its PTS, each once and in preorder. Checked path by path, so
-    no second copy of the path set is held."""
+    paths with its PTS, each once and in sorted order, which is a preorder.
+    Checked path by path, so no second copy of the path set is held."""
     vertices = sorted({vertex for record in log.endpoints() for vertex in record.pair})
     for direction in ("forward", "backward"):
         remaining = dict(expected)
@@ -38,6 +40,7 @@ def assert_derives(log: AlertLog, expected: dict[tuple[str, ...], float]) -> Non
             for sequence, pts in log.walk(root, direction):
                 # in preorder a path's prefix is the last path yielded or a prefix of it
                 assert previous[: len(sequence) - 1] == sequence[:-1], (direction, sequence)
+                assert previous < sequence, (direction, sequence)
                 previous = sequence
                 path = sequence if direction == "forward" else sequence[::-1]
                 assert remaining.pop(path, None) == pts, (direction, path)
@@ -97,6 +100,12 @@ def test_log_reads_like_the_replayed_store(tmp_path):
     log.snapshot(tmp_path / "log.jsonl")
     assert (tmp_path / "log.jsonl").read_bytes() == (tmp_path / "store.jsonl").read_bytes()
     assert AlertLog.read(tmp_path / "log.jsonl").stats() == store.stats()
+    # the log's depth-first walks and the store's sorted ones build the same trees
+    for root in sorted({vertex for record in store.endpoints() for vertex in record.pair}):
+        for build in (build_forward_tree, build_backward_tree):
+            tree, mirrored = build(store, root), build(log, root)
+            assert tree_to_structured(mirrored) == tree_to_structured(tree), (root, build)
+            assert tree_to_dot(mirrored) == tree_to_dot(tree), (root, build)
 
 
 def test_log_refuses_a_reused_ordinal():

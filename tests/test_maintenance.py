@@ -153,10 +153,11 @@ def _by_tuple(*args):
 
 
 def test_in_order_inserts_never_look_up_a_path_by_its_tuple():
-    # each lengthened path is gated by its parent node, the candidate itself
+    # each lengthened path is gated by its parent node, the candidate itself,
+    # so no insert walks down the trie by a tuple's vertices as a splice does
     def fold(alerts: list[Alert]) -> AlertStore:
         store = AlertStore()
-        store.has_path = store.insert_path = _by_tuple
+        store.splice = _by_tuple
         for alert in alerts:
             insert_alert(store, alert)
         return store
@@ -291,7 +292,6 @@ def reinsert_late(early: list[Alert], late: Alert) -> tuple[AlertStore, int, Ale
     """Reinsert ``late`` into a chronological build of ``early``; returns the
     store, the paths created, and a chronological build of every alert."""
     store = build_store(early)
-    store.has_path = _forbidden  # every combination the window admits is new
     outcome = reinsert_alert(store, late)
     return store, outcome.paths_created, build_store(sorted([*early, late], key=lambda a: a.key))
 

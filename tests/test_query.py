@@ -328,6 +328,19 @@ def test_sibling_order_best_path_first_then_label():
     tree = build_forward_tree(store, "a")
     # (a, c) has pts 2.0, the others tie at 1.0 and fall back to labels
     assert [c.label for c in tree.root.children] == ["c", "b", "d"]
+    # a child ranks by the best path at or below it: (a, c1) scores 1.0 and
+    # (a, c1, x) 1.41, under (a, c2)'s 2.0, but (a, c1, x, y) scores 2.45
+    store = build_store(
+        [
+            mk_alert("a", "c1", 1, sid=1, seq=0),
+            mk_alert("c1", "x", 2, sid=1, seq=1),
+            mk_alert("x", "y", 3, sid=3, seq=2),
+            mk_alert("a", "c2", 4, sid=1, seq=3),
+            mk_alert("a", "c2", 5, sid=2, seq=4),
+        ]
+    )
+    tree = build_forward_tree(store, "a")
+    assert [c.label for c in tree.root.children] == ["c1", "c2"]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from alertpaths.bench import brute_force_paths, build_store, generate_chain, gen
 from alertpaths.derivation import AlertLog
 from alertpaths.errors import StoreError
 from alertpaths.maintenance import insert_alert
-from alertpaths.model import Alert, EndpointPair, PathRecord
+from alertpaths.model import Alert, EndpointPair
 from alertpaths.store import AlertStore, recompute_threat_scores
 
 from conftest import canonical_state, forbid_path_scans, mk_alert
@@ -61,15 +61,15 @@ def test_directed_pairs_kept_apart():
 def test_insert_path_rejects_duplicates():
     store = AlertStore()
     store.upsert_endpoint(mk_alert("a", "b", 1, seq=0))
-    store.insert_path(PathRecord(("a", "b")))
+    store.splice("a", ("b",))
     with pytest.raises(StoreError):
-        store.insert_path(PathRecord(("a", "b")))
+        store.splice("a", ("b",))
 
 
 def test_insert_path_requires_endpoint_records():
     store = AlertStore()
     with pytest.raises(StoreError):
-        store.insert_path(PathRecord(("a", "b")))
+        store.splice("a", ("b",))
 
 
 def test_insert_path_requires_stored_prefix():
@@ -77,11 +77,11 @@ def test_insert_path_requires_stored_prefix():
     store.upsert_endpoint(mk_alert("a", "b", 1, seq=0))
     store.upsert_endpoint(mk_alert("b", "c", 2, seq=1))
     with pytest.raises(StoreError, match=r"prefix \('a', 'b'\)"):
-        store.insert_path(PathRecord(("a", "b", "c")))
-    store.insert_path(PathRecord(("a", "b")))
+        store.splice("a", ("b", "c"))
+    store.splice("a", ("b",))
+    store.splice("a", ("b", "c"))
     with pytest.raises(StoreError, match=r"pair \('c', 'd'\)"):
-        store.insert_path(PathRecord(("a", "b", "c", "d")))
-    store.insert_path(PathRecord(("a", "b", "c")))
+        store.splice("a", ("b", "c", "d"))
     assert [p.vertices for p in store.paths()] == [("a", "b"), ("a", "b", "c")]
 
 
@@ -91,12 +91,12 @@ def test_insert_path_rejects_degenerate_shapes():
     store.upsert_endpoint(mk_alert("v1", "v2", 1, seq=0))
     store.upsert_endpoint(mk_alert("v2", "v1", 2, seq=1))
     store.upsert_endpoint(mk_alert("v1", "v1", 3, seq=2))
-    store.insert_path(PathRecord(("v1", "v2")))
+    store.splice("v1", ("v2",))
     before = canonical_state(store)
     for vertices in [("v1",), ("v1", "v2", "v1"), ("v1", "v1")]:
         with pytest.raises(StoreError):
-            store.insert_path(PathRecord(vertices))
-        assert not store.has_path(vertices)
+            store.splice(vertices[0], vertices[1:])
+        assert vertices not in {p.vertices for p in store.paths()}
     assert canonical_state(store) == before
     assert [p.vertices for p in store.paths()] == [("v1", "v2")]
 
@@ -174,10 +174,11 @@ def test_child_symmetry_on_random_instance():
     # stored paths; both are exact only if the stored set is closed under
     # dropping the last or first vertex.
     store = seeded_store()
-    for path in store.paths():
-        if len(path.vertices) > 2:
-            assert store.has_path(path.vertices[:-1])
-            assert store.has_path(path.vertices[1:])
+    stored = {p.vertices for p in store.paths()}
+    for vertices in stored:
+        if len(vertices) > 2:
+            assert vertices[:-1] in stored
+            assert vertices[1:] in stored
 
 
 def test_trie_adds_no_object_to_gc_scans():
@@ -201,7 +202,8 @@ def test_lookup_touches_only_matching_records():
     assert all(expected)
     forbid_path_scans(store)
     assert [lookup() for lookup in lookups] == expected
-    assert store.has_path(expected[2][0].vertices)
+    path = expected[2][0]  # reached down the trie by keyed reads alone
+    assert store._descend(path.origin, path.vertices[1:]) is path
     with pytest.raises(AssertionError, match="scanned"):
         list(store.paths())
     store.scores_stale = True  # a rescore walks the whole trie
