@@ -144,7 +144,7 @@ def _store_dir(args: argparse.Namespace) -> Path:
 def _locked(directory: Path, exclusive: bool):
     directory.mkdir(parents=True, exist_ok=True)
     lock_path = directory / LOCK_FILENAME
-    handle = open(lock_path, "a+")
+    handle = open(lock_path, "a+", encoding="utf-8")
     try:
         if fcntl is not None:
             fcntl.flock(handle, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)

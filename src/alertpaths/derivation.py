@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 
 from .errors import StoreError
 from .model import Alert, Direction, EndpointPair, EndpointRecord, PathRecord, alert_key
-from .store import PathReader, RootedPath, read_snapshot, reduce_pairs
+from .store import PathReader, RootedPath, check_direction, read_snapshot, reduce_pairs
 
 # One arc as a search takes it: the vertex it reaches, its keys in the
 # order the search takes them, its alert count and its sid mask.
@@ -39,10 +39,10 @@ class AlertLog(PathReader):
 
     Built from alerts with unique ordinals. Each alert's (time, seq) key is
     replaced by its rank, which keeps the order. Per pair it keeps an
-    `EndpointRecord`, alerts in rank order, with its ETS and, for each
-    direction, the arc's ranks and the (alert count, sid mask) sums that
-    give PTS. `store.reduce_pairs` computes those sums for
-    `recompute_threat_scores` too, so every score is bit-equal to the
+    `EndpointRecord`, alerts in rank order and their ranks as its keys, with
+    its ETS and, for each direction, the arc's ranks and the (alert count,
+    sid mask) sums that give PTS. `store.reduce_pairs` computes those sums
+    for `recompute_threat_scores` too, so every score is bit-equal to the
     store's.
     The lookups that return paths derive them on each call; scores are
     computed as they are derived, so they are never stale.
@@ -52,30 +52,29 @@ class AlertLog(PathReader):
         ordered = sorted(alerts, key=alert_key)
         if len({alert.seq for alert in ordered}) != len(ordered):
             raise StoreError("ingestion ordinals must be unique")
-        by_pair: dict[tuple[str, str], tuple[list[Alert], list[int]]] = {}
+        by_pair: dict[tuple[str, str], EndpointRecord] = {}
         for rank, alert in enumerate(ordered):
             pair = (alert.source, alert.destination)
-            found = by_pair.get(pair)
-            if found is None:
-                found = by_pair[pair] = ([], [])
-            found[0].append(alert)
-            found[1].append(rank)
+            record = by_pair.get(pair)
+            if record is None:
+                record = by_pair[pair] = EndpointRecord(EndpointPair(*pair))
+            record.alerts.append(alert)
+            record.keys.append(rank)
         self._endpoints: dict[EndpointPair, EndpointRecord] = {}
         forward: dict[str, list[_Step]] = {}
         backward: dict[str, list[_Step]] = {}
         # in pair order, so each vertex's steps are in label order and walks yield sorted sequences
-        records = (EndpointRecord(EndpointPair(*p), by_pair[p][0]) for p in sorted(by_pair))
+        records = (by_pair[pair] for pair in sorted(by_pair))
         for record, count, mask in reduce_pairs(records):
             record.ets = math.sqrt(mask.bit_count() * count)
             self._endpoints[record.pair] = record
             source, dest = record.pair
             if source == dest:  # self-loops never form paths
                 continue
-            keys = by_pair[record.pair][1]
-            forward.setdefault(source, []).append((dest, keys, count, mask))
+            forward.setdefault(source, []).append((dest, record.keys, count, mask))
             # negated ranks in ascending order: the latest key comes first and
             # "the latest key before k" is "the first negated key after -k"
-            latest_first = [-rank for rank in reversed(keys)]
+            latest_first = [-rank for rank in reversed(record.keys)]
             backward.setdefault(dest, []).append((source, latest_first, count, mask))
         self._steps = {"forward": forward, "backward": backward}
 
@@ -95,8 +94,9 @@ class AlertLog(PathReader):
         preorder: each path after its one-hop-shorter prefix. A sequence
         starts at ``root``, so a backward one lists the path's vertices in
         reverse. Memory is bounded by the path depth, not by the number of
-        paths.
+        paths. Any other direction raises `ValueError`.
         """
+        check_direction(direction)
         steps = self._steps[direction]
         sqrt = math.sqrt
         for first, keys, count, mask in steps.get(root, ()):

@@ -50,12 +50,10 @@ def insert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
     source, dest = alert.source, alert.destination
     paths_created = 0
     if source != dest:
-        if created:
-            store.extend(source, dest)
-            paths_created += 1
-        for candidate in store.find_paths_ending_at(source):
+        # the source's root first, so its one-hop path comes before the longer ones
+        for parent in (store.root(source), *store.find_paths_ending_at(source)):
             # None when the lengthened copy is stored or would repeat a vertex
-            if store.extend(candidate, dest) is not None:
+            if store.extend(parent, dest) is not None:
                 paths_created += 1
     return InsertOutcome(int(created), paths_created)
 
@@ -65,13 +63,13 @@ def reinsert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
 
     A path that is newly feasible because of the alert, with key k on the
     pair (s, d), contains that arc once: it is L + R, where L is a stored
-    path ending at s (or the bare ``(s,)``) and R a stored path starting at
+    path ending at s (or s's zero-hop root) and R a stored path starting at
     d (or ``(d,)``), the two vertex-disjoint. With k_prev and k_next the
     neighbouring old keys on (s, d), e(L) the greedy earliest-completion
     key of L and l(R) its mirror, the latest feasible start key of R, the
     combination is new exactly when k_prev < e(L) < k and k < l(R) < k_next:
-    k is then the only key of (s, d) that fits between the two. A bare end
-    qualifies when its neighbouring key does not exist. So every
+    k is then the only key of (s, d) that fits between the two. A zero-hop
+    end qualifies when its neighbouring key does not exist. So every
     vertex-disjoint combination of qualifying ends is new, and none is
     checked against the store.
 
@@ -80,13 +78,14 @@ def reinsert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
     only when some prefix qualifies, and an end that passes is walked once.
 
     New paths are stored in the order they are built, suffix by suffix,
-    by `AlertStore.splice`, which reaches L + R[:-1] from L's node by R's
-    vertices and stores L + R under it. So each L + R must come after
-    L + R[:-1], and it does. Either R[:-1] is itself a
-    qualifying suffix, and an earlier one: the suffixes start with the
-    bare ``(d,)`` and then follow `find_paths_starting_at`'s prefix-first
-    order. Or R[:-1] failed the window because l(R[:-1]) > k_next, so
-    k_next already joins L to R[:-1] and that path is stored.
+    by `AlertStore.splice`, which reaches L + R[:-1] from L's trie node, a
+    stored path or the root, by R's vertices and stores L + R under it. So
+    each L + R must come after L + R[:-1], and it does. Either R[:-1] is
+    itself a qualifying suffix, and an earlier one: the suffixes start with
+    the zero-hop ``(d,)`` and then follow `find_paths_starting_at`'s
+    prefix-first order. Or R[:-1] failed the window because
+    l(R[:-1]) > k_next, so k_next already joins L to R[:-1] and that path
+    is stored.
     """
     source, dest = alert.source, alert.destination
     record, created = store.upsert_endpoint(alert)
@@ -109,8 +108,8 @@ def reinsert_alert(store: AlertStore, alert: Alert) -> InsertOutcome:
     lo = record.keys[at - 1] if at else (-math.inf,)
     hi = record.keys[at + 1] if at + 1 < len(record.keys) else (math.inf,)
 
-    # each prefix is a stored path or the bare source, with its vertex set
-    lefts: list[tuple[PathRecord | str, set[str]]] = [(source, {source})] if at == 0 else []
+    # each prefix is a trie node, a stored path or the source's root, with its vertex set
+    lefts: list[tuple[PathRecord, set[str]]] = [(store.root(source), {source})] if at == 0 else []
     for path in store.find_paths_ending_at(source):
         vertices = path.vertices
         keys = endpoint(vertices[-2:]).keys

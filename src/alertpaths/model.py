@@ -69,9 +69,10 @@ class Alert:
 @dataclass(slots=True)
 class EndpointRecord:
     """A communicating pair plus every alert observed on it, kept in strictly
-    increasing (time, seq) order, and ``keys``, those alerts' keys in the same
-    order, filled on construction, so a reader bisects a pair in place.
-
+    increasing (time, seq) order, and ``keys``, one key per alert in the same
+    order, so a reader bisects a pair in place. The reader that owns the
+    record fills ``keys`` as it places each alert: `AlertStore` with (time,
+    seq) keys, `derivation.AlertLog` with ranks; equality leaves it out.
     ``ets`` is a cached score. The store's readers refresh it when a
     mutation has made it stale; code that reads ``AlertStore.endpoints()``
     directly calls ``recompute_threat_scores`` first.
@@ -80,10 +81,7 @@ class EndpointRecord:
     pair: EndpointPair
     alerts: list[Alert] = field(default_factory=list)
     ets: float = 0.0
-    keys: list[OrderKey] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.keys = list(map(alert_key, self.alerts))
+    keys: list[OrderKey] | list[int] = field(default_factory=list, compare=False, repr=False)
 
 
 @dataclass(slots=True)
@@ -93,12 +91,13 @@ class PathRecord:
     A plain record: `AlertStore.extend` admits only simple paths of a hop
     or more. ``pts`` is a cached score that the store's readers refresh;
     code reading ``AlertStore.paths()`` calls ``recompute_threat_scores`` first.
-    ``children`` is a stored path's node in the store's prefix trie: the
-    positions of its stored one-hop-longer paths in the store's path list,
-    by their last vertex. Positions, not records, keep these dicts out of
-    the garbage collector's scans, since a dict that holds only strings and
-    integers is not tracked. It stays None until the first child is stored;
-    equality and ``repr`` leave it out.
+    Each is a node of the store's prefix trie, as is each vertex's root, the
+    zero-hop ``(v,)`` from `AlertStore.root`, which is never stored.
+    ``children`` holds the positions of a node's stored one-hop-longer paths
+    in the store's path list, by last vertex. Positions, not records, keep
+    these dicts out of the garbage collector's scans, since a dict that
+    holds only strings and integers is not tracked. It stays None until the
+    first child is stored; equality and ``repr`` leave it out.
     """
 
     vertices: tuple[str, ...]

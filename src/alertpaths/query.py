@@ -15,7 +15,7 @@ reader's `walk`, which yields the root's paths as sorted sequences.
 from __future__ import annotations
 
 from .model import AlertTree, Direction, EndpointPair, PathRecord, TreeNode, normalize_color
-from .store import PathReader, recompute_threat_scores
+from .store import PathReader, check_direction, recompute_threat_scores
 
 
 def retrieve_paths(store: PathReader, origin: str, target: str) -> list[PathRecord]:
@@ -41,8 +41,7 @@ def top_trees(store: PathReader, k: int, direction: Direction = "forward") -> li
     Roots are ranked by the best PTS among their paths, ties broken by
     label.
     """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+    check_direction(direction)
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     recompute_threat_scores(store)
@@ -70,9 +69,9 @@ def _build_tree(store: PathReader, root: str, direction: Direction) -> AlertTree
     exactly the root and these sequences. `walk` yields them sorted, a
     preorder, so a node's parent is one level up on the branch last read,
     and one pass creates every node. A stable sort then orders siblings by
-    the best PTS at or below each, and ties keep their label order.
+    the best PTS at or below each, and ties keep their label order. `walk`
+    refreshes stale scores, so every ETS read here is fresh.
     """
-    recompute_threat_scores(store)
     forward = direction == "forward"
     nodes = [TreeNode(root)]  # in preorder, root first
     parents = [0]  # each node's parent, by position in nodes

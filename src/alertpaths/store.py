@@ -8,18 +8,19 @@ by origin, a root's paths as sorted sequences (`walk`) and a path count.
 `AlertStore` answers these from its indexes; `AlertLog` derives them.
 
 Single-writer, in-process. The store keeps its paths in insertion order,
-a prefix trie over them (each origin's one-hop paths, and every longer
-path in its parent's `PathRecord.children`, as positions by last vertex)
-and two indexes, by origin and by target; everything else is computed when
-it is read. Lookups by origin or target touch only the matching records, a
-lookup by both filters the origin's paths, and rankings scan every record.
+a prefix trie over them (each path in its parent node's `children`, as
+positions by last vertex, a one-hop path under its origin's never-stored
+zero-hop root) and two indexes, by origin and by target; everything else
+is computed when it is read. Lookups by origin or target touch only the
+matching records, a lookup by both filters the origin's paths, and
+rankings scan every record.
 Scores are cached on the records and marked stale by every mutation; each
 reader of a score first calls `recompute_threat_scores`, which refreshes
 them only when they are stale, in one pass down the trie. No other module
 assigns a score.
 `extend` is the one gate for new paths: it stores a path under its parent
-node, so `paths()` and the lookups by origin yield every path after its
-prefix, and no path is looked up by its vertex tuple on the way.
+node, a root or a stored path, so `paths()` and the lookups by origin yield
+every path after its prefix, and no path is looked up by its vertex tuple.
 Records keep their alerts' (time, seq) keys beside them, so any pair is bisected in place.
 Snapshots hold only the alert log, as line-delimited JSON, records by pair
 and alerts as kept, so equal stores produce byte-identical files.
@@ -56,6 +57,11 @@ SNAPSHOT_VERSION = 3
 READABLE_VERSIONS = (1, 2, 3)
 # A path as `walk` yields it: its vertices from the walk's root, and its PTS.
 RootedPath = tuple[tuple[str, ...], float]
+
+
+def check_direction(direction: str) -> None:  # raises ValueError unless a Direction
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,10 +147,10 @@ class AlertStore(PathReader):
 
     def __init__(self) -> None:
         self._endpoints: dict[EndpointPair, EndpointRecord] = {}
-        # the prefix trie: each origin's one-hop paths by their last vertex,
-        # and every longer path in its parent's children, as positions in
-        # _paths, which keeps every path in insertion order
-        self._origins: dict[str, dict[str, int]] = {}
+        # the prefix trie: each origin's zero-hop root node, and every path in
+        # its parent node's children, as positions in _paths, which keeps
+        # every path in insertion order; roots are never in _paths
+        self._roots: dict[str, PathRecord] = {}
         self._paths: list[PathRecord] = []
         self._by_origin: dict[str, list[PathRecord]] = defaultdict(list)
         self._by_target: dict[str, list[PathRecord]] = defaultdict(list)
@@ -183,26 +189,26 @@ class AlertStore(PathReader):
     # paths
     # ------------------------------------------------------------------
 
-    def extend(self, parent: PathRecord | str, vertex: str) -> PathRecord | None:
+    def root(self, vertex: str) -> PathRecord:
+        """The zero-hop trie node ``(vertex,)``, parent of each one-hop path from
+        ``vertex``: made on first use, never stored, so no lookup or count sees it."""
+        return self._roots.get(vertex) or self._roots.setdefault(vertex, PathRecord((vertex,)))
+
+    def extend(self, parent: PathRecord, vertex: str) -> PathRecord | None:
         """Store the path one hop longer than ``parent`` and return it; or
         store nothing and return None when that path is stored already or
         would repeat a vertex.
 
-        ``parent`` is a path record this store holds, as its lookups return
-        them, or a bare origin vertex. This is the one gate for the
-        stored-path rule: a duplicate is a stored child of
+        ``parent`` is a node of this store's trie: a root from `root`, or a
+        stored path as the lookups return them. This is the one gate for
+        the stored-path rule: a duplicate is a stored child of
         ``parent``, a repeat is ``vertex`` among its vertices, and a last
         pair with no endpoint record raises `StoreError`. A path is stored
         only under its parent, so by induction every stored path is simple,
         at least one hop long and has a record for every pair, and the path
         set stays prefix-first.
         """
-        if isinstance(parent, str):
-            prefix = (parent,)
-            children = self._origins.get(parent)
-        else:
-            prefix = parent.vertices
-            children = parent.children
+        prefix, children = parent.vertices, parent.children
         if children is not None and vertex in children:
             return None
         last = (prefix[-1], vertex)  # a plain tuple hashes like EndpointPair
@@ -212,11 +218,7 @@ class AlertStore(PathReader):
             return None
         path = PathRecord(prefix + (vertex,))
         if children is None:  # a node's dict is made with its first child
-            children = {}
-            if isinstance(parent, str):
-                self._origins[parent] = children
-            else:
-                parent.children = children
+            children = parent.children = {}
         children[vertex] = len(self._paths)
         self._paths.append(path)
         self._by_origin[prefix[0]].append(path)
@@ -224,36 +226,31 @@ class AlertStore(PathReader):
         self.scores_stale = True
         return path
 
-    def splice(self, start: PathRecord | str, vertices: tuple[str, ...]) -> PathRecord:
+    def splice(self, start: PathRecord, vertices: tuple[str, ...]) -> PathRecord:
         """Store ``start`` followed by ``vertices`` with `extend` and return
-        it. Its one-hop-shorter prefix is reached from ``start``, a stored
-        path or a bare origin vertex, by the stored child of each step; no
-        vertices, a missing prefix, a duplicate or a repeat raises `StoreError`."""
+        it. Its one-hop-shorter prefix is reached from ``start``, a node of
+        the trie, by the stored child of each step; no vertices, a missing
+        prefix, a duplicate or a repeat raises `StoreError`."""
         if not vertices:
             raise StoreError("a splice needs at least one vertex after its start")
         parent = self._descend(start, vertices[:-1])
         path = None if parent is None else self.extend(parent, vertices[-1])
         if path is None:
-            prefix = ((start,) if isinstance(start, str) else start.vertices) + vertices[:-1]
-            full = prefix + vertices[-1:]
+            full = start.vertices + vertices
             if parent is None:
-                raise StoreError(f"path {full} has no stored prefix {prefix}")
+                raise StoreError(f"path {full} has no stored prefix {full[:-1]}")
             raise StoreError(f"path {full} is stored already or repeats its last vertex")
         return path
 
-    def _descend(
-        self, start: PathRecord | str, vertices: tuple[str, ...]
-    ) -> PathRecord | str | None:
-        """The node reached from ``start`` by the stored child of each
-        vertex in turn: ``start`` itself for no vertices, None if one is missing."""
+    def _descend(self, start: PathRecord, vertices: tuple[str, ...]) -> PathRecord | None:
+        """The node reached from the trie node ``start`` by the stored child of
+        each vertex in turn: ``start`` for no vertices, None if one is missing."""
         node = start
-        children = self._origins.get(start) if isinstance(start, str) else start.children
         for vertex in vertices:
-            at = children.get(vertex) if children else None
+            at = node.children.get(vertex) if node.children else None
             if at is None:
                 return None
             node = self._paths[at]
-            children = node.children
         return node
 
     def paths(self) -> Iterator[PathRecord]:
@@ -267,7 +264,9 @@ class AlertStore(PathReader):
         return list(self._by_origin.get(vertex, ()))
 
     def walk(self, root: str, direction: Direction = "forward") -> list[RootedPath]:
-        """The root's indexed paths with their cached PTS, sorted."""
+        """The root's indexed paths with their PTS, refreshed if stale, sorted."""
+        check_direction(direction)
+        recompute_threat_scores(self)
         if direction == "forward":
             found = [(p.vertices, p.pts) for p in self._by_origin.get(root, ())]
         else:
@@ -432,11 +431,12 @@ def recompute_threat_scores(store: PathReader) -> tuple[int, int]:
     A score is sqrt(distinct sids x alerts), as `threat_score` computes it.
     `reduce_pairs` reduces each pair once to (alert count, sid mask). Each
     path's (count, mask) is its parent's with its last pair's added, carried
-    down the prefix trie (only an `AlertStore` marks its scores stale). The
-    paths are scored in stored order, which puts every parent first, so the
-    score floats are made in the order that `paths()`, and so every ranking,
-    reads them. A missing pair record, or a stored path that the trie does
-    not reach from its origin, raises `StoreError`.
+    down the prefix trie from each root's (0, 0), the zero-hop sums (only an
+    `AlertStore` marks its scores stale). The paths are scored in stored
+    order, which puts every parent first, so the score floats are made in
+    the order that `paths()`, and so every ranking, reads them. A missing
+    pair record, or a stored path that the trie does not reach from its
+    origin's root, raises `StoreError`.
     """
     if not store.scores_stale:
         return 0, 0
@@ -454,17 +454,19 @@ def recompute_threat_scores(store: PathReader) -> tuple[int, int]:
     # (count, mask) by position in paths, set by the parent and dropped once scored
     sums: list[tuple[int, int] | None] = [None] * len(paths)
 
-    def carry(last: str, children: dict[str, int], count: int, mask: int) -> None:
+    def carry(node: PathRecord, count: int, mask: int) -> None:
+        last = node.vertices[-1]
         row = arcs[last]
-        for vertex, at in children.items():
+        for vertex, at in node.children.items():
             try:
                 arc_count, arc_mask = row[vertex]
             except KeyError:
                 raise StoreError(f"path {paths[at].vertices} lacks pair {(last, vertex)}") from None
             sums[at] = (count + arc_count, mask | arc_mask)
 
-    for origin, children in store._origins.items():
-        carry(origin, children, 0, 0)
+    for root in store._roots.values():
+        if root.children:
+            carry(root, 0, 0)
     paths_updated = 0
     for at, path in enumerate(paths):
         summed = sums[at]
@@ -477,7 +479,7 @@ def recompute_threat_scores(store: PathReader) -> tuple[int, int]:
             path.pts = score
             paths_updated += 1
         if path.children:
-            carry(path.vertices[-1], path.children, count, mask)
+            carry(path, count, mask)
     store.scores_stale = False
     return endpoints_updated, paths_updated
 

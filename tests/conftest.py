@@ -32,11 +32,17 @@ def deep_chain_tree(levels: int) -> AlertTree:
 
 def assert_key_order(reader: PathReader) -> None:
     """Every record lists its alerts in strictly increasing (time, seq) order,
-    and its keys are exactly those alerts' keys, in the same order."""
-    for record in reader.endpoints():
+    and its keys are exactly those alerts' keys in the reader's key space, in
+    the same order: (time, seq) for an `AlertStore`, and for an `AlertLog`
+    each alert's rank among all the log's alerts."""
+    records = list(reader.endpoints())
+    every = sorted(alert.key for record in records for alert in record.alerts)
+    ranks = every if isinstance(reader, AlertStore) else range(len(every))
+    in_key_space = dict(zip(every, ranks))
+    for record in records:
         keys = [alert.key for alert in record.alerts]
         assert all(a < b for a, b in zip(keys, keys[1:])), (record.pair, keys)
-        assert record.keys == keys, record.pair
+        assert record.keys == [in_key_space[key] for key in keys], record.pair
 
 
 def canonical_state(store: AlertStore) -> str:
@@ -73,7 +79,7 @@ def assert_prefix_first(store: AlertStore, label: object = None) -> None:
 class UnscannableDict(dict):
     """A dict whose keyed reads work but whose scans fail the test.
 
-    Swapped in for the store's trie of origins, it shows that a lookup
+    Swapped in for the store's trie roots, it shows that a lookup
     reached paths by their origin or an index instead of walking every one.
     """
 
@@ -111,9 +117,9 @@ class UnscannablePaths(UnscannableList):
 
 def forbid_path_scans(store: AlertStore) -> None:
     """Fail the test on any scan of the store's paths, through its path
-    list or down its trie from every origin; keyed reads still work."""
+    list or down its trie from every root; keyed reads still work."""
     store._paths = UnscannablePaths(store._paths)
-    store._origins = UnscannableDict(store._origins)
+    store._roots = UnscannableDict(store._roots)
 
 
 def forbid_alert_scans(record: EndpointRecord) -> None:

@@ -448,7 +448,7 @@ def test_recompute_missing_prefix_is_store_inconsistency():
     )
     # detach ("a", "b"), and with it ("a", "b", "c"), from the trie; both
     # stay in the path list, so the trie no longer reaches every stored path
-    del store._origins["a"]["b"]
+    del store._roots["a"].children["b"]
     with pytest.raises(StoreError):
         recompute_threat_scores(store)
 

@@ -12,6 +12,7 @@ from alertpaths.bench import (
     generate_chain,
     generate_random,
 )
+from alertpaths.derivation import AlertLog
 from alertpaths.ingest import ingest_stream
 from alertpaths.maintenance import insert_alert, reinsert_alert
 from alertpaths.model import Alert, AlertTree, EndpointPair, TreeNode, normalize_color
@@ -393,17 +394,41 @@ def test_top_trees_rejects_unknown_direction():
     assert {p.vertices for p in store.paths()} == before
 
 
+@pytest.mark.parametrize("reader", [build_store, AlertLog])
+def test_walk_rejects_unknown_direction(reader):
+    # a misspelt direction is an error, not a backward walk or a KeyError
+    alerts = generate_chain(3)
+    walked = reader(alerts)
+    for direction in ("Forward", "back", ""):
+        with pytest.raises(ValueError, match="direction"):
+            list(walked.walk("v4", direction))  # type: ignore[arg-type]
+    assert walked.scores_stale is (reader is build_store)  # rejected before any scoring
+    backward = [sequence for sequence, _ in walked.walk("v4", "backward")]
+    assert backward == [("v4", "v3"), ("v4", "v3", "v2"), ("v4", "v3", "v2", "v1")]
+
+
 # ---------------------------------------------------------------------------
 # every reader refreshes stale scores
 # ---------------------------------------------------------------------------
 
 
+def _roots(store: AlertStore) -> list[str]:
+    return sorted({v for p in store.paths() for v in p.vertices})
+
+
 def _every_root_tree(store: AlertStore) -> list[str]:
-    roots = sorted({v for p in store.paths() for v in p.vertices})
     return [
         tree_to_structured(build(store, root))
         for build in (build_forward_tree, build_backward_tree)
-        for root in roots
+        for root in _roots(store)
+    ]
+
+
+def _every_walk(store: AlertStore) -> list:
+    return [
+        list(store.walk(root, direction))
+        for direction in ("forward", "backward")
+        for root in _roots(store)
     ]
 
 
@@ -429,6 +454,7 @@ def _rankings(store: AlertStore) -> tuple:
 SCORE_READERS = {
     "retrieve_paths": _every_retrieval,
     "trees": _every_root_tree,
+    "walks": _every_walk,
     "top_trees": lambda store: [
         tree_to_structured(tree)
         for direction in ("forward", "backward")

@@ -3,11 +3,12 @@
 Hypothesis drives a store over four vertices through head alerts
 (`insert_alert`), late alerts (`reinsert_alert`) and snapshot reloads
 (`AlertStore.load`), in any order. After every step the store must hold
-exactly the brute-force oracle's paths, with PTS bit-equal to the alert
-log's derivation, keep its records in key order and its paths
-prefix-first, and build the same trees from its sorted `walk` as the log
-builds from its depth-first one. The settings are fixed and derandomized,
-so every run tries the same examples.
+exactly the brute-force oracle's paths, none of them a zero-hop trie
+root, with PTS bit-equal to the alert log's derivation, keep its records
+in key order and its paths prefix-first, and build the same trees from
+its sorted `walk` as the log builds from its depth-first one. The
+settings are fixed and derandomized, so every run tries the same
+examples.
 """
 
 from __future__ import annotations
@@ -72,6 +73,8 @@ class StoreMachine(RuleBasedStateMachine):
         store = self.store
         recompute_threat_scores(store)
         stored = sorted((p.vertices, p.pts) for p in store.paths())
+        # the trie's zero-hop roots are nodes, never stored paths
+        assert all(len(vertices) >= 2 for vertices, _ in stored)
         assert {vertices for vertices, _ in stored} == brute_force_paths(self.alerts)
         log = AlertLog(self.alerts)
         assert stored == sorted((p.vertices, p.pts) for p in log.paths())

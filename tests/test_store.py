@@ -61,15 +61,15 @@ def test_directed_pairs_kept_apart():
 def test_insert_path_rejects_duplicates():
     store = AlertStore()
     store.upsert_endpoint(mk_alert("a", "b", 1, seq=0))
-    store.splice("a", ("b",))
+    store.splice(store.root("a"), ("b",))
     with pytest.raises(StoreError):
-        store.splice("a", ("b",))
+        store.splice(store.root("a"), ("b",))
 
 
 def test_insert_path_requires_endpoint_records():
     store = AlertStore()
     with pytest.raises(StoreError):
-        store.splice("a", ("b",))
+        store.splice(store.root("a"), ("b",))
 
 
 def test_insert_path_requires_stored_prefix():
@@ -77,11 +77,11 @@ def test_insert_path_requires_stored_prefix():
     store.upsert_endpoint(mk_alert("a", "b", 1, seq=0))
     store.upsert_endpoint(mk_alert("b", "c", 2, seq=1))
     with pytest.raises(StoreError, match=r"prefix \('a', 'b'\)"):
-        store.splice("a", ("b", "c"))
-    store.splice("a", ("b",))
-    store.splice("a", ("b", "c"))
+        store.splice(store.root("a"), ("b", "c"))
+    store.splice(store.root("a"), ("b",))
+    store.splice(store.root("a"), ("b", "c"))
     with pytest.raises(StoreError, match=r"pair \('c', 'd'\)"):
-        store.splice("a", ("b", "c", "d"))
+        store.splice(store.root("a"), ("b", "c", "d"))
     assert [p.vertices for p in store.paths()] == [("a", "b"), ("a", "b", "c")]
 
 
@@ -91,11 +91,11 @@ def test_insert_path_rejects_degenerate_shapes():
     store.upsert_endpoint(mk_alert("v1", "v2", 1, seq=0))
     store.upsert_endpoint(mk_alert("v2", "v1", 2, seq=1))
     store.upsert_endpoint(mk_alert("v1", "v1", 3, seq=2))
-    store.splice("v1", ("v2",))
+    store.splice(store.root("v1"), ("v2",))
     before = canonical_state(store)
     for vertices in [("v1",), ("v1", "v2", "v1"), ("v1", "v1")]:
         with pytest.raises(StoreError):
-            store.splice(vertices[0], vertices[1:])
+            store.splice(store.root(vertices[0]), vertices[1:])
         assert vertices not in {p.vertices for p in store.paths()}
     assert canonical_state(store) == before
     assert [p.vertices for p in store.paths()] == [("v1", "v2")]
@@ -105,14 +105,14 @@ def test_extend_gates_by_the_parent_node():
     store = AlertStore()
     store.upsert_endpoint(mk_alert("a", "b", 1, seq=0))
     store.upsert_endpoint(mk_alert("b", "a", 2, seq=1))
-    ab = store.extend("a", "b")
+    ab = store.extend(store.root("a"), "b")
     assert ab is not None and ab.vertices == ("a", "b")
-    assert store.extend("a", "b") is None  # a duplicate: an existing child
+    assert store.extend(store.root("a"), "b") is None  # a duplicate: an existing child
     assert store.extend(ab, "a") is None  # a repeat: "a" is on the path
     with pytest.raises(StoreError, match=r"pair \('b', 'c'\)"):
         store.extend(ab, "c")
     with pytest.raises(StoreError, match=r"pair \('b', 'c'\)"):
-        store.splice("a", ("b", "c"))
+        store.splice(store.root("a"), ("b", "c"))
     assert [p.vertices for p in store.paths()] == [("a", "b")]
     assert ab.children is None  # a node's dict is made with its first child
 
@@ -186,7 +186,7 @@ def test_trie_adds_no_object_to_gc_scans():
     # no trie dict and a full collection scans no more objects per path
     store = seeded_store()
     nodes = [path.children for path in store.paths() if path.children]
-    nodes.extend(store._origins.values())
+    nodes.extend(root.children for root in store._roots.values() if root.children)
     assert nodes and not any(gc.is_tracked(node) for node in nodes)
 
 
@@ -203,7 +203,7 @@ def test_lookup_touches_only_matching_records():
     forbid_path_scans(store)
     assert [lookup() for lookup in lookups] == expected
     path = expected[2][0]  # reached down the trie by keyed reads alone
-    assert store._descend(path.origin, path.vertices[1:]) is path
+    assert store._descend(store.root(path.origin), path.vertices[1:]) is path
     with pytest.raises(AssertionError, match="scanned"):
         list(store.paths())
     store.scores_stale = True  # a rescore walks the whole trie

@@ -1,9 +1,9 @@
 """Repository tooling: the benchmark's feed generators match the package's,
-the README documents every CLI command, its library example runs, a slice
-of a benchmark session runs and passes the benchmark's checks, CLI output
-does not depend on the interpreter's hash seed, importing the package
-leaves the derivation unloaded, and the package imports only the standard
-library."""
+the README documents every CLI command, its library example runs and its
+CLI quickstart prints what it shows, a slice of a benchmark session runs
+and passes the benchmark's checks, CLI output does not depend on the
+interpreter's hash seed, importing the package leaves the derivation
+unloaded, and the package imports only the standard library."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import argparse
 import ast
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,46 @@ def test_readme_library_example_runs():
     # the two outputs the example's comments promise
     assert "path_count=6" in result.stdout
     assert "('ws-7', 'jump-1', 'files-2', 'db-9') 3.0" in result.stdout
+
+
+def test_readme_cli_quickstart_prints_what_it_shows(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^```console\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    assert block is not None
+    # each "$ " command line with the non-blank lines printed below it
+    commands: list[tuple[str, list[str]]] = []
+    for line in block.group(1).splitlines():
+        if line.startswith("$ "):
+            commands.append((line[2:], []))
+        elif line:
+            commands[-1][1].append(line)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    ran = []
+    for command, printed in commands:
+        program, *argv = shlex.split(command)
+        if program != "alertpaths":
+            continue  # rendering the DOT file needs Graphviz
+        argv[argv.index("--store") + 1] = str(tmp_path / "demo")
+        if "--input" in argv:
+            at = argv.index("--input") + 1
+            argv[at] = str(ROOT / argv[at])
+        result = subprocess.run(
+            [sys.executable, "-m", "alertpaths.cli", *argv],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            encoding="utf-8",
+            timeout=60,
+        )
+        assert result.returncode == 0, (command, result.stderr)
+        ran.append(argv[0])
+        if "--dot" in argv:
+            dot = tmp_path / argv[argv.index("--dot") + 1]
+            assert dot.read_text(encoding="utf-8").startswith("digraph"), command
+        else:
+            assert result.stdout.splitlines() == printed, command
+    assert ran == ["ingest", "top", "tree"]
 
 
 # One chain150 session, cut down: the engine calls the benchmark makes, and
